@@ -25,8 +25,8 @@ Layers (see DESIGN.md for the full inventory):
   (§VI), minimization (§VII), tgds and the chase (§VIII),
   non-recursive preservation (§IX), equivalence proofs (§X),
   heuristic tgd discovery and the optimizer (§XI);
-* :mod:`repro.obs`      -- tracing spans, the metrics registry, the
-  profiler, and the bench runner;
+* :mod:`repro.obs`      -- tracing spans, the metrics registry and the
+  profiler;
 * :mod:`repro.workloads` -- synthetic programs and EDBs for benchmarks;
 * :mod:`repro.paper`    -- the paper's Examples 1-19 as executable data.
 """

@@ -17,7 +17,7 @@ Subcommands::
     repro-datalog explain    PROGRAM --edb F A  # why-provenance proof of a fact
     repro-datalog bounded    PROGRAM            # recursion-elimination search
     repro-datalog profile    PROGRAM --edb F    # per-rule/per-span work breakdown
-    repro-datalog bench                         # workload suites -> BENCH_<date>.json
+    repro-datalog fuzz                          # differential self-test on random inputs
     repro-datalog examples                      # run the paper's examples
 
 Programs and EDB files use the Datalog syntax of
@@ -50,28 +50,47 @@ from .lang.programs import Program
 #: the printed facts are sound but the fixpoint was not reached.
 EXIT_PARTIAL = 3
 
-#: Exit code for ``bench --compare`` when a shared entry regressed past
-#: the threshold (see :data:`repro.obs.benchrun.REGRESSION_THRESHOLD`).
-EXIT_REGRESSION = 4
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _number_at_least(parse, minimum, expected: str):
+    """An argparse ``type=`` that rejects (exit 2, flag named) what is
+    not ``parse``-able or is below *minimum*; nan fails the comparison."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
+
+
+#: Worker and cadence counts: zero or fewer has no meaning.
+_positive_int = _number_at_least(int, 1, "an integer >= 1")
+#: Caps and budgets (facts, rounds, nulls): zero is a legal, tight cap.
+_limit_int = _number_at_least(int, 0, "an integer >= 0")
+_limit_seconds = _number_at_least(float, 0, "a number of seconds >= 0")
 
 
 def _add_governor_flags(p: argparse.ArgumentParser, with_on_limit: bool = True) -> None:
     """Resource-governance flags shared by evaluation-driving verbs."""
     p.add_argument(
         "--deadline",
-        type=float,
+        type=_limit_seconds,
         metavar="SECONDS",
         help="wall-clock budget; on expiry the run degrades or raises (see --on-limit)",
     )
     p.add_argument(
-        "--max-facts", type=int, metavar="N", help="cap on facts derived during the run"
+        "--max-facts", type=_limit_int, metavar="N", help="cap on facts derived during the run"
     )
     p.add_argument(
-        "--max-rounds", type=int, metavar="N", help="cap on fixpoint rounds/passes"
+        "--max-rounds", type=_limit_int, metavar="N", help="cap on fixpoint rounds/passes"
     )
     if with_on_limit:
         p.add_argument(
@@ -100,13 +119,13 @@ def _add_chase_flags(p: argparse.ArgumentParser) -> None:
     """ChaseBudget flags for the chase-backed verbs."""
     p.add_argument(
         "--chase-rounds",
-        type=int,
+        type=_limit_int,
         metavar="N",
         help="chase budget: max rounds per chase run (default 200)",
     )
     p.add_argument(
         "--chase-nulls",
-        type=int,
+        type=_limit_int,
         metavar="N",
         help="chase budget: max labelled nulls per chase run (default 2000)",
     )
@@ -152,7 +171,7 @@ def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     """The worker-pool selector shared by the evaluation verbs."""
     p.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="evaluate on a pool of N worker processes (seminaive shards "
@@ -336,7 +355,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
-    """Durable-checkpoint flags shared by ``eval`` and ``bench``."""
+    """Durable-checkpoint flags of ``eval``."""
     p.add_argument(
         "--checkpoint",
         metavar="PATH",
@@ -346,7 +365,7 @@ def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="checkpoint cadence in fixpoint rounds (default 1)",
@@ -725,97 +744,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs.benchrun import diff_bench_documents, render_diff, run_bench
-    from .obs.schema import validate_bench_document
-
-    if args.validate:
-        document = json.loads(_read(args.validate))
-        errors = validate_bench_document(document)
-        if errors:
-            for error in errors:
-                print(f"invalid: {error}", file=sys.stderr)
-            return 1
-        print(f"{args.validate}: valid ({len(document['entries'])} entries)")
-        return 0
-
-    compare = args.compare or []
-    if len(compare) > 2:
-        print("error: --compare takes one baseline or OLD NEW", file=sys.stderr)
-        return 2
-    if len(compare) == 2:
-        # Pure diff mode: no new run, compare two existing documents.
-        old_path, new_path = compare
-        documents = []
-        for path in (old_path, new_path):
-            document = json.loads(_read(path))
-            errors = validate_bench_document(document)
-            if errors:
-                print(f"error: {path} is not a valid bench document", file=sys.stderr)
-                return 2
-            documents.append(document)
-        records = diff_bench_documents(documents[0], documents[1])
-        print(f"comparing {old_path} -> {new_path}:")
-        print(render_diff(records))
-        return _bench_gate(records)
-
-    suites = args.suite if args.suite else None
-    sizes = args.size if args.size else None
-    backends = ("rows", "columnar") if args.backend == "both" else (args.backend,)
-    progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    try:
-        document = run_bench(
-            suites=suites,
-            sizes=sizes,
-            quick=args.quick,
-            date=args.date,
-            progress=progress,
-            backends=backends,
-            workers=tuple(args.workers) if args.workers else (1,),
-            checkpoint_dir=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            advised=args.advised,
-        )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    out_path = Path(args.out) if args.out else Path(f"BENCH_{document['generated']}.json")
-    out_path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out_path} ({len(document['entries'])} entries, "
-          f"engines: {', '.join(document['engines'])})")
-    if compare:
-        baseline_path = compare[0]
-        previous = json.loads(_read(baseline_path))
-        errors = validate_bench_document(previous)
-        if errors:
-            print(f"error: {baseline_path} is not a valid bench document", file=sys.stderr)
-            return 2
-        records = diff_bench_documents(previous, document)
-        print()
-        print(f"comparison against {baseline_path}:")
-        print(render_diff(records))
-        return _bench_gate(records)
-    return 0
-
-
-def _bench_gate(records) -> int:
-    """Non-zero exit when any shared bench entry regressed past the gate."""
-    from .obs.benchrun import REGRESSION_THRESHOLD, regressions
-
-    flagged = regressions(records)
-    if not flagged:
-        return 0
-    print(
-        f"performance regressions (>{REGRESSION_THRESHOLD:.0%} growth):",
-        file=sys.stderr,
-    )
-    for line in flagged:
-        print(f"  {line}", file=sys.stderr)
-    return EXIT_REGRESSION
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testing import run_differential_suite
 
@@ -1030,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="checkpoint cadence for the resumed run "
@@ -1162,74 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_flag(p)
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "bench", help="run the workload suites and write a BENCH_<date>.json document"
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small matrix for CI smoke (seconds)"
-    )
-    p.add_argument(
-        "--suite", action="append", metavar="NAME", help="workload name (repeatable)"
-    )
-    p.add_argument(
-        "--size", action="append", type=int, metavar="N", help="EDB size (repeatable)"
-    )
-    p.add_argument("--out", metavar="FILE", help="output path (default BENCH_<date>.json)")
-    p.add_argument("--date", metavar="ISO", help="override the document date stamp")
-    p.add_argument(
-        "--backend",
-        choices=["rows", "columnar", "both"],
-        default="rows",
-        help="storage backend(s) to measure; 'both' repeats every cell "
-        "per backend (entries carry a 'backend' field)",
-    )
-    p.add_argument(
-        "--workers",
-        action="append",
-        type=int,
-        metavar="N",
-        help="worker-process count to sweep (repeatable; default 1). "
-        "Fixpoint cells are repeated per count and keyed by a "
-        "'workers' entry field; other engines bench at 1 only",
-    )
-    p.add_argument(
-        "--advised",
-        action="store_true",
-        help="add one advisor-picked cell per query-carrying workload "
-        "(the specialization advisor chooses the rewrite/engine; entries "
-        "carry 'advised: true')",
-    )
-    p.add_argument(
-        "--compare",
-        nargs="+",
-        metavar="FILE",
-        help="with one FILE: diff the new run against that baseline; "
-        "with OLD NEW: diff two existing documents without running. "
-        f"Exits {EXIT_REGRESSION} on a >20%% regression in rule_firings "
-        "or elapsed_s",
-    )
-    p.add_argument(
-        "--validate",
-        metavar="FILE",
-        help="validate an existing document against the schema and exit",
-    )
-    p.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        help="write a durable checkpoint per fixpoint cell into DIR "
-        "(one file per workload/size/engine/backend; resumable with "
-        "the 'resume' verb)",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="checkpoint cadence in fixpoint rounds (default 1)",
-    )
-    p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "fuzz", help="differential-test the engines and optimizers on random inputs"

@@ -255,7 +255,7 @@ class ContainmentBudget:
 
     Every decision also feeds the process-wide metrics registry
     (``containment.budget_spent`` / ``containment.budget_skipped``),
-    so lint runs show up in ``BENCH_*.json`` registry snapshots.
+    so lint runs show up in registry snapshots.
     """
 
     __slots__ = ("limit", "spent", "skipped")

@@ -79,10 +79,10 @@ from ..resilience.governor import (
 )
 from .compile import SRC_DELTA, KernelCache, cardinality_hint_provider
 from .fixpoint import EvaluationResult, get_engine
-from .joins import delta_variant_positions, fire_rule
-from .seminaive import _fire_rule_compiled, seminaive_fixpoint
+from .joins import delta_variant_positions
+from .seminaive import _run_delta_kernels, seminaive_fixpoint
 from .stats import EvaluationStats
-from .stratified import stratify
+from .stratified import saturate_stratum, stratify
 
 #: Environment override for the multiprocessing start method ("fork" or
 #: "spawn"); the default prefers fork where the platform offers it.
@@ -353,7 +353,7 @@ class _WorkerState:
                 if governor is not None:
                     governor.note(rule_index=rule_index)
                     governor.tick()
-                derived = _fire_rule_compiled(
+                derived = _run_delta_kernels(
                     rule,
                     self.kernels,
                     rule_index,
@@ -388,9 +388,6 @@ class _WorkerState:
         started = time.perf_counter()
         current = _import_rows(self.backend, facts)
         shipped = {pred: set(map(tuple, rows)) for pred, rows in facts.items()}
-        rules = [self.program.rules[i] for i in rule_indices]
-        positive = [r for r in rules if r.is_positive]
-        negated = [r for r in rules if not r.is_positive]
         governor = None
         if any(limits.get(k) is not None for k in ("deadline_s", "max_facts", "max_rounds")):
             governor = ResourceGovernor(
@@ -402,35 +399,9 @@ class _WorkerState:
                 facts=limits.get("facts_seen", 0), rounds=limits.get("rounds_seen", 0)
             )
         stats = EvaluationStats()
-        report = None
-        try:
-            changed = True
-            while changed and report is None:
-                changed = False
-                if positive:
-                    result = seminaive_fixpoint(Program(positive), current, governor)
-                    stats.merge(result.stats)
-                    if result.is_partial:
-                        current = result.database
-                        report = result.degradation.to_dict()
-                        break
-                    if len(result.database) > len(current):
-                        changed = True
-                    current = result.database
-                for rule in negated:
-                    if governor is not None:
-                        governor.tick()
-                    derived = fire_rule(
-                        current, rule.head, rule.body, stats=stats, governor=governor
-                    )
-                    for atom in derived:
-                        if current.add(atom):
-                            stats.facts_derived += 1
-                            if governor is not None:
-                                governor.add_facts(1)
-                            changed = True
-        except ResourceLimitExceeded as error:
-            report = error.report.to_dict()
+        current, degradation = saturate_stratum(
+            self.program, rule_indices, current, stats, governor
+        )
         derived_out: dict[str, list[tuple]] = {}
         for pred in current._relations:
             known = shipped.get(pred, ())
@@ -441,7 +412,7 @@ class _WorkerState:
             "derived": derived_out,
             "stats": stats.to_dict(),
             "elapsed_s": time.perf_counter() - started,
-            "report": report,
+            "report": degradation.to_dict() if degradation is not None else None,
         }
 
 
@@ -1046,48 +1017,28 @@ def _run_wave_on_master(
     stats: EvaluationStats,
     wave_index: int,
 ) -> tuple[Database, DegradationReport | None]:
-    """One single-SCC wave: serial stratum loop, sharded positive rules."""
-    positive = [i for i in rule_indices if program.rules[i].is_positive]
-    negated = [i for i in rule_indices if not program.rules[i].is_positive]
-    changed = True
-    while changed:
-        changed = False
-        if positive:
-            before = len(current)
-            sub_stats = EvaluationStats(engine="seminaive")
-            sub_stats.start()
-            result_db, report = _sharded_fixpoint(
-                pool,
-                program,
-                positive,
-                current,
-                governor,
-                sub_stats,
-                engine="stratified",
-                stratum=wave_index,
-            )
-            sub_stats.stop()
-            stats.merge(sub_stats)
-            current = result_db
-            if report is not None:
-                return current, report
-            if len(current) > before:
-                changed = True
-        for rule_index in negated:
-            rule = program.rules[rule_index]
-            if governor is not None:
-                governor.note(rule_index=rule_index)
-                governor.tick()
-            derived = fire_rule(
-                current, rule.head, rule.body, stats=stats, governor=governor
-            )
-            for atom in derived:
-                if current.add(atom):
-                    stats.facts_derived += 1
-                    if governor is not None:
-                        governor.add_facts(1)
-                    changed = True
-    return current, None
+    """One single-SCC wave: the stratum loop, positive rules sharded."""
+
+    def sharded(positive: Sequence[int], database: Database):
+        sub_stats = EvaluationStats(engine="seminaive")
+        sub_stats.start()
+        database, report = _sharded_fixpoint(
+            pool,
+            program,
+            positive,
+            database,
+            governor,
+            sub_stats,
+            engine="stratified",
+            stratum=wave_index,
+        )
+        sub_stats.stop()
+        stats.merge(sub_stats)
+        return database, report
+
+    return saturate_stratum(
+        program, rule_indices, current, stats, governor, positive_fixpoint=sharded
+    )
 
 
 def _run_wave_on_workers(

@@ -144,7 +144,7 @@ def seminaive_fixpoint(
                         with trace("seminaive.rule", rule=rule_index) as span:
                             span.watch(stats)
                             if kernels is not None:
-                                derived = _fire_rule_compiled(
+                                derived = _run_delta_kernels(
                                     rule, kernels, rule_index, full, delta,
                                     snapshot, stats, governor,
                                     variants[rule_index],
@@ -220,7 +220,7 @@ def _fire_rule_seminaive(
     return derived
 
 
-def _fire_rule_compiled(
+def _run_delta_kernels(
     rule,
     kernels: KernelCache,
     rule_index: int,

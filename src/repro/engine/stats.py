@@ -14,8 +14,7 @@ its join work:
 * ``elapsed`` -- wall-clock seconds.
 
 Every completed ``start()``/``stop()`` run also publishes its totals to
-the process-wide metrics registry (:mod:`repro.obs.metrics`), which the
-``repro-datalog bench`` trajectory files snapshot.
+the process-wide metrics registry (:mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class EvaluationStats:
         self.duplicates_avoided += other.duplicates_avoided
 
     def to_dict(self) -> dict[str, float | int]:
-        """The counters as a flat JSON-ready mapping (bench/profile use)."""
+        """The counters as a flat JSON-ready mapping (profile/``--json`` use)."""
         return {
             "iterations": self.iterations,
             "rule_firings": self.rule_firings,

@@ -16,14 +16,15 @@ and strictly greater for negative ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..data.database import Database
 from ..errors import ResourceLimitExceeded, StratificationError
 from ..lang.programs import Program
-from ..resilience.governor import EvaluationStatus, ResourceGovernor
+from ..resilience.governor import DegradationReport, EvaluationStatus, ResourceGovernor
+from .compile import KernelCache
 from .fixpoint import EvaluationResult
 from .seminaive import seminaive_fixpoint
-from .joins import fire_rule
 from .stats import EvaluationStats
 
 
@@ -71,6 +72,80 @@ def stratify(program: Program) -> Stratification:
     return Stratification(stratum, layers)
 
 
+def saturate_stratum(
+    program: Program,
+    rule_indices: Sequence[int],
+    current: Database,
+    stats: EvaluationStats,
+    governor: ResourceGovernor | None = None,
+    positive_fixpoint=None,
+) -> tuple[Database, DegradationReport | None]:
+    """Saturate one stratum (or SCC) of *program* over *current*.
+
+    Semi-naive the positive rules, fire the negated ones, repeat until
+    the negated ones add nothing.  Rules with negation only negate lower
+    strata (guaranteed by stratification), so their negated subgoals
+    are already final when they are read.  This is the one stratum
+    loop: the serial engine, the parallel engine's SCC workers and its
+    master-side waves all run it.
+
+    *rule_indices* index ``program.rules``.  *positive_fixpoint*
+    (``(positive_indices, database) -> (database, report)``) replaces
+    the serial semi-naive fixpoint of the positive rules -- the parallel
+    master passes its sharded one -- and accounts its own work in
+    *stats*.  Negated rules run as compiled kernels over the whole
+    database (no delta position): each outer pass re-reads everything.
+
+    Returns the saturated database and ``None``, or -- when a limit
+    trips -- the facts derived so far and the degradation report.
+    """
+    rules = program.rules
+    positive = [i for i in rule_indices if rules[i].is_positive]
+    negated = [i for i in rule_indices if not rules[i].is_positive]
+    if positive_fixpoint is None:
+        positive_program = Program([rules[i] for i in positive])
+
+        def positive_fixpoint(_indices, database):
+            result = seminaive_fixpoint(positive_program, database, governor)
+            stats.merge(result.stats)
+            return result.database, result.degradation
+
+    kernels: KernelCache | None = None
+    try:
+        while True:
+            if positive:
+                current, report = positive_fixpoint(positive, current)
+                if report is not None:
+                    # The sub-fixpoint already degraded gracefully;
+                    # propagate its report and stop deriving.
+                    return current, report
+            if negated and kernels is None:
+                # Compiled late so the join orders see this stratum's
+                # positive facts rather than empty relations.
+                kernels = KernelCache(rules, current)
+            added = False
+            for rule_index in negated:
+                if governor is not None:
+                    governor.note(rule_index=rule_index)
+                    governor.tick()
+                derived = kernels.kernel(rule_index).run(
+                    current, stats=stats, governor=governor
+                )
+                for atom in derived:
+                    if current.add(atom):
+                        stats.facts_derived += 1
+                        if governor is not None:
+                            governor.add_facts(1)
+                        added = True
+            if not added:
+                # Closed under the negated rules right after the positive
+                # ones saturated: nothing is left to re-run.
+                break
+    except ResourceLimitExceeded as error:
+        return current, error.report
+    return current, None
+
+
 def evaluate_stratified(
     program: Program, db: Database, governor: ResourceGovernor | None = None
 ) -> EvaluationResult:
@@ -91,7 +166,6 @@ def evaluate_stratified(
     stats = EvaluationStats(engine="stratified")
     stats.start()
     current = db.copy()
-    status = EvaluationStatus.COMPLETE
     degradation = None
     try:
         if governor is not None:
@@ -100,50 +174,19 @@ def evaluate_stratified(
             if governor is not None:
                 governor.note(stratum=stratum_index)
                 governor.checkpoint(current)
-            layer_rules = [r for r in program.rules if r.head.predicate in layer]
-            positive = [r for r in layer_rules if r.is_positive]
-            negated = [r for r in layer_rules if not r.is_positive]
-            # Rules with negation in this stratum only negate lower strata
-            # (guaranteed by stratification), so their negated subgoals are
-            # already final; iterate them together with the positive ones
-            # until the stratum is saturated.
-            changed = True
-            while changed:
-                changed = False
-                if positive:
-                    result = seminaive_fixpoint(Program(positive), current, governor)
-                    stats.merge(result.stats)
-                    if result.is_partial:
-                        # The sub-fixpoint already degraded gracefully;
-                        # propagate its report and stop deriving.
-                        current = result.database
-                        status = EvaluationStatus.PARTIAL
-                        degradation = result.degradation
-                        raise _StratumInterrupted()
-                    if len(result.database) > len(current):
-                        changed = True
-                    current = result.database
-                for rule in negated:
-                    if governor is not None:
-                        governor.tick()
-                    derived = fire_rule(
-                        current, rule.head, rule.body, stats=stats, governor=governor
-                    )
-                    for atom in derived:
-                        if current.add(atom):
-                            stats.facts_derived += 1
-                            if governor is not None:
-                                governor.add_facts(1)
-                            changed = True
-    except _StratumInterrupted:
-        pass
+            layer_rules = [
+                i for i, r in enumerate(program.rules) if r.head.predicate in layer
+            ]
+            current, degradation = saturate_stratum(
+                program, layer_rules, current, stats, governor
+            )
+            if degradation is not None:
+                break
     except ResourceLimitExceeded as error:
-        status = EvaluationStatus.PARTIAL
         degradation = error.report
     stats.stop()
     stats.elapsed = max(stats.elapsed, 0.0)
+    status = (
+        EvaluationStatus.PARTIAL if degradation is not None else EvaluationStatus.COMPLETE
+    )
     return EvaluationResult(current, stats, status=status, degradation=degradation)
-
-
-class _StratumInterrupted(Exception):
-    """Internal control flow: a governed sub-fixpoint returned PARTIAL."""

@@ -1,7 +1,7 @@
-"""Observability: span tracing, process metrics, profiling, benchmarking.
+"""Observability: span tracing, process metrics, profiling.
 
-This package is the measurement substrate the ROADMAP's performance
-trajectory reports against.  Four pieces:
+This package is the measurement substrate the benchmark in ``bench/``
+reads from the outside.  Three pieces:
 
 * :mod:`repro.obs.tracer` -- nested spans with wall time and work
   counters, wired into all engines and the paper's decision procedures;
@@ -10,22 +10,17 @@ trajectory reports against.  Four pieces:
   observation summaries with a versioned JSON export.
 * :mod:`repro.obs.profiler` -- one-shot per-rule/per-span profiles of
   an evaluation (the ``repro-datalog profile`` verb).
-* :mod:`repro.obs.benchrun` -- the workload-suite runner emitting
-  schema-validated ``BENCH_<date>.json`` trajectory files (the
-  ``repro-datalog bench`` verb); :mod:`repro.obs.schema` defines and
-  validates the file format.
 
-Import note: this ``__init__`` loads only the dependency-free tracer,
-metrics, and schema modules, because low layers (``engine.stats``,
-``core.minimize``) import them at module load.  The profiler and bench
-runner -- which import the engines back -- load lazily via attribute
-access (``repro.obs.profile_evaluation``) or explicit submodule import.
+Import note: this ``__init__`` loads only the dependency-free tracer
+and metrics modules, because low layers (``engine.stats``,
+``core.minimize``) import them at module load.  The profiler -- which
+imports the engines back -- loads lazily via attribute access
+(``repro.obs.profile_evaluation``) or explicit submodule import.
 """
 
 from __future__ import annotations
 
 from .metrics import METRICS_SCHEMA, MetricsRegistry, ObservationSummary, metrics_registry
-from .schema import ALL_ENGINES, BENCH_SCHEMA, validate_bench_document
 from .tracer import (
     NULL_SPAN,
     Span,
@@ -38,8 +33,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "ALL_ENGINES",
-    "BENCH_SCHEMA",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -50,19 +43,15 @@ __all__ = [
     "metrics_registry",
     "profile_evaluation",
     "render_spans",
-    "run_bench",
     "trace",
     "tracer",
     "tracing",
-    "validate_bench_document",
 ]
 
 _LAZY = {
     "profile_evaluation": ("profiler", "profile_evaluation"),
     "ProfileReport": ("profiler", "ProfileReport"),
     "render_profile": ("profiler", "render_profile"),
-    "run_bench": ("benchrun", "run_bench"),
-    "diff_bench_documents": ("benchrun", "diff_bench_documents"),
 }
 
 

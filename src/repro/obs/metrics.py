@@ -11,10 +11,10 @@ shared registry:
   spent and skipped uniform-containment tests,
 * the chase records rounds and nulls created.
 
-The export schema is versioned (:data:`METRICS_SCHEMA`) so that
-``BENCH_*.json`` trajectory files embedding a registry snapshot stay
-machine-diffable across releases; :meth:`MetricsRegistry.from_export`
-round-trips an export and refuses unknown versions.
+The export schema is versioned (:data:`METRICS_SCHEMA`) so that saved
+registry snapshots stay machine-diffable across releases;
+:meth:`MetricsRegistry.from_export` round-trips an export and refuses
+unknown versions.
 """
 
 from __future__ import annotations

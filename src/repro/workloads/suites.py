@@ -25,11 +25,7 @@ class Workload:
 
     ``edb`` takes the size parameter plus a ``backend`` keyword and
     generates the extensional database directly on that storage
-    backend.  ``engines`` restricts the bench matrix to the named
-    engines (``None`` = every applicable engine); ``memory_cap_bytes``
-    runs the bench under a governed memory cap, so a backend whose
-    footprint exceeds the cap reports a honest ``PARTIAL`` instead of
-    silently thrashing -- the million-fact storage workload uses both.
+    backend.
     """
 
     name: str
@@ -39,8 +35,6 @@ class Workload:
     tgds: tuple[Tgd, ...] = ()
     query: Optional[Atom] = None
     expected_minimal: Optional[Program] = None
-    engines: Optional[tuple[str, ...]] = None
-    memory_cap_bytes: Optional[int] = None
 
 
 def _tc_edb_chain(n: int, backend: str = "rows") -> Database:
@@ -152,16 +146,13 @@ def tc_chain_workload() -> Workload:
 
     The parallel-scaling workload: a chain of *n* edges closes to a
     quadratic IDB through ``O(n)`` semi-naive rounds with fat deltas,
-    so per-round sharding has real work to split.  Restricted to the
-    semi-naive engine -- the point is the worker sweep, not the engine
-    matrix (``tc+2atoms/chain`` already covers that on this shape).
+    so per-round sharding has real work to split.
     """
     return Workload(
         name="tc/chain",
         program=programs.tc_nonlinear(),
         edb=_tc_edb_chain,
         description="plain nonlinear transitive closure over a chain",
-        engines=("seminaive",),
     )
 
 
@@ -212,12 +203,10 @@ def reach_workload() -> Workload:
     """The million-fact storage workload: single-source reachability.
 
     The IDB (reachable nodes) is tiny next to the EDB (random edges),
-    so evaluation cost is storage cost: at a million edges the
-    interned-int columnar backend fits comfortably under the 96 MB
-    governed cap while the row backend's per-tuple Term overhead blows
-    through it and degrades to ``PARTIAL``.  Restricted to the
-    semi-naive engine -- the point is the storage comparison, not an
-    engine matrix on a seven-figure EDB.
+    so evaluation cost is storage cost: under a governed memory cap
+    between the two footprints the interned-int columnar backend
+    completes while the row backend's per-tuple Term overhead trips the
+    cap and degrades to ``PARTIAL``.
     """
 
     def edb(n: int, backend: str = "rows") -> Database:
@@ -228,12 +217,10 @@ def reach_workload() -> Workload:
         program=programs.reachability(),
         edb=edb,
         description="single-source reachability over a random million-edge EDB",
-        engines=("seminaive",),
-        memory_cap_bytes=96_000_000,
     )
 
 
-#: The standard suite indexed by name (used by `repro.cli bench-list`).
+#: The standard suite indexed by name.
 SUITES: dict[str, Callable[[], Workload]] = {
     "tc/chain": tc_chain_workload,
     "tc+2atoms/chain": lambda: tc_redundant_atoms(2, "chain"),

@@ -4,8 +4,8 @@ Covers the certificate schema (pinned to version 1), the advisor's
 recommendations, the differential property that executing a recommended
 plan matches the semi-naive reference (including under a tripping
 governor and on both storage backends), the certificate fast path
-(``query --certificate`` skips analysis), the two specialization lint
-rules, and the ``bench --advised`` cells.
+(``query --certificate`` skips analysis), and the two specialization
+lint rules.
 """
 
 from __future__ import annotations
@@ -390,53 +390,3 @@ class TestSpecializationLints:
             select=frozenset({"adornment-space-explosion"}), adornment_budget=64
         )
         assert lint(program, relaxed) == []
-
-
-class TestBenchAdvised:
-    def test_advised_cell_matches_fixed_magic_answers(self):
-        from repro.obs.benchrun import run_bench
-        from repro.obs.schema import validate_bench_document
-
-        doc = run_bench(
-            suites=["magic-tc"], sizes=[12], quick=True,
-            date="2026-08-08", advised=True,
-        )
-        assert validate_bench_document(doc) == []
-        advised = [e for e in doc["entries"] if e.get("advised")]
-        assert len(advised) == 1
-        fixed_magic = [
-            e for e in doc["entries"]
-            if e["engine"] == "magic" and not e.get("advised")
-        ]
-        assert advised[0]["stats"]["answers"] == fixed_magic[0]["stats"]["answers"]
-        assert "advise_s" in advised[0]["stats"]
-
-    def test_advised_participates_in_dedup_key(self):
-        from repro.obs.schema import validate_bench_document
-
-        entry = {
-            "workload": "tc/chain", "size": 12, "engine": "seminaive",
-            "backend": "rows", "stats": {"elapsed_s": 0.1},
-        }
-        doc = {
-            "schema": "repro.bench/4", "generated": "2026-08-08",
-            "quick": True, "engines": ["seminaive"],
-            "entries": [entry, dict(entry, advised=True)],
-        }
-        assert validate_bench_document(doc) == []
-        doc["entries"].append(dict(entry))
-        assert any("duplicate" in e for e in validate_bench_document(doc))
-
-    def test_non_boolean_advised_rejected(self):
-        from repro.obs.schema import validate_bench_document
-
-        doc = {
-            "schema": "repro.bench/4", "generated": "2026-08-08",
-            "quick": True, "engines": ["seminaive"],
-            "entries": [{
-                "workload": "tc/chain", "size": 12, "engine": "seminaive",
-                "backend": "rows", "advised": 1,
-                "stats": {"elapsed_s": 0.1},
-            }],
-        }
-        assert any("advised" in e for e in validate_bench_document(doc))

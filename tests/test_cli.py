@@ -612,33 +612,39 @@ class TestCheckpointFlags:
         assert doc["payload"]["round"] % 5 == 0
         assert doc["payload"]["every"] == 5
 
-    def test_bench_checkpoint_dir(self, tmp_path, capsys):
-        ckdir = tmp_path / "cks"
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--suite",
-                "tc+2atoms/chain",
-                "--size",
-                "8",
-                "--out",
-                str(out),
-                "--quiet",
-                "--checkpoint",
-                str(ckdir),
-            ]
-        )
-        assert code == 0
-        written = list(ckdir.glob("*.ckpt.json"))
-        assert written  # one file per fixpoint cell
-        document = json.loads(out.read_text())
-        fixpoint = [
-            e
-            for e in document["entries"]
-            if e["engine"] in ("naive", "seminaive", "stratified")
-        ]
-        assert fixpoint and all(
-            e["stats"].get("checkpoints", 0) >= 1 for e in fixpoint
-        )
+
+#: (verb + its positionals, flag, hostile value): the limit and count
+#: flags on every verb that takes them.  argparse rejects the value
+#: before any file is read, so the paths need not exist.
+_HOSTILE_FLAGS = [
+    (["eval", "p.dl", "--edb", "e.dl"], "--workers", "0"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--workers", "-1"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--max-facts", "-5"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--deadline", "-1"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--deadline", "nan"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--max-rounds", "-1"),
+    (["eval", "p.dl", "--edb", "e.dl"], "--checkpoint-every", "0"),
+    (["resume", "ck.json"], "--workers", "0"),
+    (["resume", "ck.json"], "--checkpoint-every", "0"),
+    (["resume", "ck.json"], "--max-rounds", "-1"),
+    (["query", "p.dl", "G(0, x)", "--edb", "e.dl"], "--workers", "0"),
+    (["query", "p.dl", "G(0, x)", "--edb", "e.dl"], "--max-facts", "-1"),
+    (["minimize", "p.dl"], "--deadline", "-0.5"),
+    (["optimize", "p.dl"], "--max-facts", "-1"),
+    (["optimize", "p.dl"], "--chase-rounds", "-1"),
+    (["optimize", "p.dl"], "--chase-nulls", "-1"),
+    (["preserves", "p.dl", "--tgds", "t.tgd"], "--chase-rounds", "-3"),
+    (["prove", "p.dl", "q.dl", "--tgds", "t.tgd"], "--chase-nulls", "-3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    _HOSTILE_FLAGS,
+    ids=[f"{argv[0]}{flag}={value}" for argv, flag, value in _HOSTILE_FLAGS],
+)
+def test_hostile_limit_values_are_usage_errors(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

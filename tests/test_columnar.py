@@ -31,8 +31,6 @@ from repro.errors import GroundnessError
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_atom
 from repro.lang.terms import Constant, Variable
-from repro.obs.benchrun import run_workload
-from repro.obs.schema import BENCH_SCHEMA, validate_bench_document
 from repro.resilience import (
     EvaluationSession,
     EvaluationStatus,
@@ -176,11 +174,10 @@ _SIZE = 8
 def test_fixpoint_engines_agree_across_backends(suite):
     workload = SUITES[suite]()
     reference = None
-    engines = workload.engines or ("naive", "seminaive")
     for backend in BACKENDS:
         edb = workload.edb(_SIZE, backend=backend)
         assert edb.backend == backend
-        for engine in engines:
+        for engine in ("naive", "seminaive"):
             result = evaluate(workload.program, edb, engine=engine)
             answers = atom_set(result.database)
             if reference is None:
@@ -217,19 +214,6 @@ def test_incremental_round_trip_agrees_across_backends(suite):
         outcomes.append((after_insert, atom_set(view.database),
                          stats.overdeleted, stats.rederived, stats.deleted))
     assert outcomes[0] == outcomes[1]
-
-
-def test_bench_runner_threads_backend():
-    workload = SUITES["tc+2atoms/chain"]()
-    entries = run_workload(workload, 6, ["seminaive", "incremental"], "columnar")
-    assert {e["backend"] for e in entries} == {"columnar"}
-    assert {e["engine"] for e in entries} == {"seminaive", "incremental"}
-
-
-def test_workload_engine_restriction():
-    workload = SUITES["reach/random"]()
-    entries = run_workload(workload, 500, ["naive", "seminaive", "incremental"], "rows")
-    assert [e["engine"] for e in entries] == ["seminaive"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +290,8 @@ def test_max_facts_cap_degrades_to_sound_subset(backend):
 
 
 def test_columnar_fits_where_rows_trips():
-    """The storage-footprint split the million-fact bench entry records,
-    at a CI-sized scale: a cap between the two backends' footprints."""
+    """The storage-footprint split at a CI-sized scale: a cap between
+    the two backends' footprints."""
     workload = SUITES["reach/random"]()
     sizes = {}
     for backend in BACKENDS:
@@ -374,50 +358,6 @@ class TestDeltaVariantPositions:
         naive = evaluate(workload.program, edb, engine="naive")
         assert atom_set(compiled.database) == atom_set(naive.database)
         assert atom_set(reference.database) == atom_set(naive.database)
-
-
-# ---------------------------------------------------------------------------
-# Bench schema v2
-# ---------------------------------------------------------------------------
-
-
-def _document(entries):
-    return {
-        "schema": BENCH_SCHEMA,
-        "generated": "2026-08-08",
-        "quick": True,
-        "engines": sorted({e["engine"] for e in entries}),
-        "entries": entries,
-    }
-
-
-class TestBenchSchemaV2:
-    def test_backend_field_accepted_and_keyed(self):
-        entries = [
-            {"workload": "w", "size": 1, "engine": "seminaive",
-             "backend": backend, "stats": {"elapsed_s": 0.1}}
-            for backend in BACKENDS
-        ]
-        assert validate_bench_document(_document(entries)) == []
-
-    def test_duplicate_backend_key_rejected(self):
-        entry = {"workload": "w", "size": 1, "engine": "seminaive",
-                 "backend": "rows", "stats": {"elapsed_s": 0.1}}
-        errors = validate_bench_document(_document([entry, dict(entry)]))
-        assert any("duplicate" in e for e in errors)
-
-    def test_unknown_backend_rejected(self):
-        entry = {"workload": "w", "size": 1, "engine": "seminaive",
-                 "backend": "parquet", "stats": {"elapsed_s": 0.1}}
-        assert any("backend" in e for e in validate_bench_document(_document([entry])))
-
-    def test_v1_documents_remain_valid(self):
-        doc = _document([
-            {"workload": "w", "size": 1, "engine": "seminaive",
-             "stats": {"elapsed_s": 0.1}}
-        ])
-        doc["schema"] = "repro.bench/1"
-        assert validate_bench_document(doc) == []
 
 
 # ---------------------------------------------------------------------------

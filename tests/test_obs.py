@@ -1,4 +1,4 @@
-"""Unit tests for the observability layer: tracer, metrics, schema."""
+"""Unit tests for the observability layer: tracer, metrics."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     ObservationSummary,
     metrics_registry,
 )
-from repro.obs.schema import ALL_ENGINES, BENCH_SCHEMA, validate_bench_document
 from repro.obs.tracer import (
     NULL_SPAN,
     Span,
@@ -199,67 +198,3 @@ class TestMetricsRegistry:
         registry.increment("x")
         registry.reset()
         assert len(registry) == 0
-
-
-def _valid_doc():
-    return {
-        "schema": BENCH_SCHEMA,
-        "generated": "2026-08-05",
-        "quick": True,
-        "engines": ["seminaive"],
-        "entries": [
-            {
-                "workload": "magic-tc",
-                "size": 12,
-                "engine": "seminaive",
-                "stats": {"elapsed_s": 0.001, "subgoal_attempts": 10},
-            }
-        ],
-    }
-
-
-class TestBenchSchema:
-    def test_valid_document(self):
-        assert validate_bench_document(_valid_doc()) == []
-
-    def test_unknown_schema_marker(self):
-        doc = _valid_doc()
-        doc["schema"] = "other/1"
-        assert any("schema" in e for e in validate_bench_document(doc))
-
-    def test_bad_date(self):
-        doc = _valid_doc()
-        doc["generated"] = "yesterday"
-        assert validate_bench_document(doc)
-
-    def test_unknown_engine(self):
-        doc = _valid_doc()
-        doc["entries"][0]["engine"] = "warp"
-        doc["engines"] = ["warp"]
-        assert validate_bench_document(doc)
-
-    def test_missing_elapsed(self):
-        doc = _valid_doc()
-        del doc["entries"][0]["stats"]["elapsed_s"]
-        assert any("elapsed_s" in e for e in validate_bench_document(doc))
-
-    def test_duplicate_entry_key(self):
-        doc = _valid_doc()
-        doc["entries"].append(dict(doc["entries"][0]))
-        assert any("duplicate" in e for e in validate_bench_document(doc))
-
-    def test_engines_list_must_match_entries(self):
-        doc = _valid_doc()
-        doc["engines"] = ["seminaive", "naive"]
-        assert validate_bench_document(doc)
-
-    def test_all_engines_is_complete(self):
-        assert set(ALL_ENGINES) == {
-            "naive",
-            "seminaive",
-            "magic",
-            "supplementary",
-            "topdown",
-            "incremental",
-            "chase",
-        }

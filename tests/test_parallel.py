@@ -43,7 +43,6 @@ from repro.engine.parallel import (
 )
 from repro.errors import ReproError, WorkerCrashError
 from repro.lang.serialize import database_to_json
-from repro.obs.schema import validate_bench_document
 from repro.resilience import (
     CheckpointManager,
     EvaluationSession,
@@ -96,6 +95,18 @@ WAVES = parse_program(
     """
 )
 
+#: Negated rules inside the two concurrent SCCs (fired in the workers)
+#: and in the single-SCC wave above them (fired on the master).
+NEGATED_WAVES = parse_program(
+    """
+    P(x, y) :- Ep(x, y).
+    P(x, z) :- P(x, y), Ep(y, z), not Eq(x, z).
+    Q(x, y) :- Eq(x, y).
+    Q(x, z) :- Q(x, y), Eq(y, z), not Ep(z, x).
+    Top(x, y) :- P(x, y), not Q(y, x).
+    """
+)
+
 BACKENDS = ("rows", "columnar")
 WORKER_COUNTS = (1, 2, 4)
 
@@ -136,6 +147,7 @@ class TestDifferential:
         ("seminaive", CONSTED, chain_db, 7),
         ("stratified", NEGATION, negation_db, 8),
         ("stratified", WAVES, waves_db, 7),
+        ("stratified", NEGATED_WAVES, waves_db, 7),
     )
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -390,50 +402,3 @@ class TestCliDeterminism:
             docs[workers] = doc
         assert docs["1"] == docs["2"]
         assert docs["1"]["database"] == docs["2"]["database"]
-
-
-# ---------------------------------------------------------------------------
-# Bench schema v3
-# ---------------------------------------------------------------------------
-def bench_doc(**entry_extra):
-    entry = {
-        "workload": "tc/chain",
-        "size": 12,
-        "engine": "seminaive",
-        "backend": "rows",
-        "stats": {"elapsed_s": 0.1},
-    }
-    entry.update(entry_extra)
-    return {
-        "schema": "repro.bench/3",
-        "generated": "2026-08-08",
-        "quick": True,
-        "engines": ["seminaive"],
-        "entries": [entry],
-    }
-
-
-class TestBenchSchemaV3:
-    def test_workers_field_accepted(self):
-        assert validate_bench_document(bench_doc(workers=4)) == []
-
-    def test_workers_defaults_to_one(self):
-        assert validate_bench_document(bench_doc()) == []
-
-    def test_bad_workers_rejected(self):
-        assert validate_bench_document(bench_doc(workers=0))
-        assert validate_bench_document(bench_doc(workers=True))
-        assert validate_bench_document(bench_doc(workers="2"))
-
-    def test_workers_participates_in_dedup_key(self):
-        doc = bench_doc()
-        doc["entries"].append(dict(doc["entries"][0], workers=2))
-        assert validate_bench_document(doc) == []
-        doc["entries"].append(dict(doc["entries"][0]))
-        errors = validate_bench_document(doc)
-        assert any("duplicate" in e for e in errors)
-
-    def test_v2_documents_still_valid(self):
-        doc = bench_doc()
-        doc["schema"] = "repro.bench/2"
-        assert validate_bench_document(doc) == []

@@ -1,4 +1,4 @@
-"""CLI tests for the ``profile`` and ``bench`` verbs."""
+"""CLI tests for the ``profile`` verb."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_REGRESSION, main
+from repro.cli import main
 from repro.obs.profiler import PROFILE_SCHEMA
-from repro.obs.schema import ALL_ENGINES, BENCH_SCHEMA, validate_bench_document
 
 #: Transitive closure with a planted redundant atom (Edge(x, z) twice)
 #: and a fully redundant third rule -- Fig. 2 removes both.
@@ -147,112 +146,3 @@ class TestProfile:
         )
         assert code == 2
         assert "requires a query" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_quick_writes_schema_valid_document(self, files, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--quick", "--quiet", "--date", "2026-08-05", "--out", str(out_path)]
-        )
-        assert code == 0
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert validate_bench_document(doc) == []
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["quick"] is True
-        assert doc["generated"] == "2026-08-05"
-        # The acceptance criterion: every engine appears in a quick run.
-        assert doc["engines"] == sorted(ALL_ENGINES)
-        assert doc["metrics"]["counters"]["evaluation.runs"] > 0
-
-    def test_validate_accepts_fresh_document(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--quiet", "--out", str(out_path)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--validate", str(out_path)]) == 0
-        assert "valid" in capsys.readouterr().out
-
-    def test_validate_rejects_corrupt_document(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": BENCH_SCHEMA, "entries": []}), encoding="utf-8")
-        assert main(["bench", "--validate", str(bad)]) == 1
-        assert "invalid" in capsys.readouterr().err
-
-    def test_compare_against_previous_run(self, tmp_path, capsys):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        args = ["bench", "--quiet", "--suite", "magic-tc", "--size", "8"]
-        assert main(args + ["--out", str(first)]) == 0
-        # Identical back-to-back runs: counters match, but sub-millisecond
-        # timings can jitter past the 20% gate, so accept both exits.
-        assert main(args + ["--out", str(second), "--compare", str(first)]) in (
-            0,
-            EXIT_REGRESSION,
-        )
-        out = capsys.readouterr().out
-        assert "comparison against" in out
-        assert "magic-tc" in out
-
-    def test_compare_two_documents_without_running(self, tmp_path, capsys):
-        out_path = tmp_path / "base.json"
-        args = ["bench", "--quiet", "--suite", "same-generation", "--size", "6"]
-        assert main(args + ["--out", str(out_path)]) == 0
-        capsys.readouterr()
-        # Same document on both sides: zero change, gate passes.
-        assert main(["bench", "--compare", str(out_path), str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "comparing" in out
-        assert "same-generation" in out
-
-    def test_compare_gate_fails_on_rule_firing_regression(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        worse = tmp_path / "worse.json"
-        args = ["bench", "--quiet", "--suite", "same-generation", "--size", "6"]
-        assert main(args + ["--out", str(base)]) == 0
-        doc = json.loads(base.read_text(encoding="utf-8"))
-        for entry in doc["entries"]:
-            if "rule_firings" in entry["stats"]:
-                entry["stats"]["rule_firings"] *= 2
-        worse.write_text(json.dumps(doc), encoding="utf-8")
-        capsys.readouterr()
-        assert (
-            main(["bench", "--compare", str(base), str(worse)]) == EXIT_REGRESSION
-        )
-        err = capsys.readouterr().err
-        assert "regressions" in err
-        assert "rule_firings" in err
-
-    def test_compare_rejects_more_than_two_files(self, tmp_path, capsys):
-        assert main(["bench", "--compare", "a.json", "b.json", "c.json"]) == 2
-        assert "--compare" in capsys.readouterr().err
-
-    def test_compare_rejects_invalid_document(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": BENCH_SCHEMA, "entries": []}), encoding="utf-8")
-        assert main(["bench", "--compare", str(bad), str(bad)]) == 2
-        assert "not a valid bench document" in capsys.readouterr().err
-
-    def test_unknown_suite_is_usage_error(self, capsys):
-        assert main(["bench", "--quiet", "--suite", "no-such-workload"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_selected_suite_and_size(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--quiet",
-                "--suite",
-                "same-generation",
-                "--size",
-                "6",
-                "--out",
-                str(out_path),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert {e["workload"] for e in doc["entries"]} == {"same-generation"}
-        assert {e["size"] for e in doc["entries"]} == {6}
-        # same-generation has no query: only the non-goal-directed engines.
-        assert doc["engines"] == ["incremental", "naive", "seminaive"]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Docs self-check: CLI surface vs documentation, plus snippet smoke tests.
 
-Three checks over README.md and docs/*.md, run by the ``docs-check`` CI
-job (and runnable locally with ``python tools/check_docs.py``):
+Four checks over the root guides and docs/*.md, run by the ``docs-check``
+CI job (and runnable locally with ``python tools/check_docs.py``):
 
 1. **Command-line drift.** Every ``repro-datalog`` invocation inside a
    fenced code block must name a real verb, and every ``--flag`` it
@@ -15,6 +15,12 @@ job (and runnable locally with ``python tools/check_docs.py``):
    ``# check-docs: smoke`` are executed in a fresh temporary directory
    (with a ``repro-datalog`` shim on PATH when the entry point is not
    installed) and must exit 0.
+4. **Dangling references.** A backticked token or link target in prose
+   that names a repository file (``tests/test_cli.py``,
+   ``engine/compile.py``, ``BENCHMARK.json``, globs and ``<date>``
+   placeholders included) must match a file that exists, and a
+   backticked ``repro.x.y`` name must import -- so deleting a module or
+   a committed artifact cannot leave the docs pointing at it.
 
 Exit status: 0 when everything passes, 1 otherwise; every finding is
 printed as ``file:line: message``.
@@ -23,6 +29,8 @@ printed as ``file:line: message``.
 from __future__ import annotations
 
 import argparse
+import fnmatch
+import importlib
 import os
 import re
 import shlex
@@ -38,7 +46,13 @@ sys.path.insert(0, str(REPO / "src"))
 import repro  # noqa: E402
 from repro.cli import build_parser  # noqa: E402
 
-SCANNED = ["README.md", *sorted(p.as_posix() for p in Path("docs").glob("*.md"))]
+SCANNED = [
+    "README.md",
+    "CONTRIBUTING.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    *sorted(p.relative_to(REPO).as_posix() for p in (REPO / "docs").glob("*.md")),
+]
 SMOKE_MARK = "# check-docs: smoke"
 
 
@@ -184,11 +198,98 @@ def run_smoke_blocks() -> list[str]:
     return errors
 
 
+#: Bare file names (no directory) are checked only with these
+#: extensions; ``program.dl`` / ``t.tgd`` style names are the reader's
+#: own files, not the repository's.
+REPO_FILE_EXTENSIONS = (".py", ".json", ".md", ".toml", ".yml")
+
+
+def repo_files() -> list[str]:
+    """Repo-relative paths git tracks or would track (ignored leftovers
+    of building and running are not repository files)."""
+    proc = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard"],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode == 0 and proc.stdout:
+        return [f for f in proc.stdout.splitlines() if (REPO / f).exists()]
+    return [p.relative_to(REPO).as_posix() for p in REPO.rglob("*") if p.is_file()]
+
+
+def prose_references(text: str):
+    """Yield (line_no, token) for backticked tokens and link targets
+    outside fenced code blocks."""
+    fenced: set[int] = set()
+    for start, _info, body in fenced_blocks(text):
+        fenced.update(range(start, start + len(body) + 2))
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if line_no in fenced:
+            continue
+        for match in re.finditer(r"`([^`]+)`|\]\(([^)#\s]+)", line):
+            yield line_no, (match.group(1) or match.group(2)).strip()
+
+
+def _imports(dotted: str) -> bool:
+    """Does ``repro.x.y.z`` resolve to a module or an attribute of one?"""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[cut:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_references() -> list[str]:
+    files = repo_files()
+    roots = {f.split("/", 1)[0] for f in files if "/" in f}
+    roots |= {f.split("/")[2] for f in files if f.startswith("src/repro/") and f.count("/") > 2}
+    errors: list[str] = []
+    for rel in SCANNED:
+        doc_dir = Path(rel).parent.as_posix()
+        for line_no, token in prose_references(Path(rel).read_text()):
+            if re.fullmatch(r"repro(\.[A-Za-z_]\w*)+", token):
+                if not _imports(token):
+                    errors.append(f"{rel}:{line_no}: `{token}` does not import")
+                continue
+            token = token.split("::")[0]
+            if " " in token or token.startswith(("/", "http", "-")):
+                continue
+            pattern = re.sub(r"<[^>]*>", "*", token).rstrip("/")
+            if pattern.startswith(("./", "../")):
+                pattern = os.path.normpath(f"{doc_dir}/{pattern}")
+            if "/" in pattern:
+                if pattern.split("/", 1)[0] not in roots:
+                    continue  # `reach/random`, `repro.metrics/1`: not a path
+                candidates = [pattern, f"src/repro/{pattern}"]
+                found = any(
+                    fnmatch.fnmatchcase(f, c) or f.startswith(c + "/")
+                    for f in files
+                    for c in candidates
+                )
+            elif pattern.endswith(REPO_FILE_EXTENSIONS):
+                found = any(fnmatch.fnmatchcase(f.rsplit("/", 1)[-1], pattern) for f in files)
+            else:
+                continue
+            if not found:
+                errors.append(f"{rel}:{line_no}: `{token}` names no file in the repository")
+    return errors
+
+
 def main() -> int:
     os.chdir(REPO)
     surface = cli_surface()
     errors, used = check_commands(surface)
     errors += check_coverage(surface, used)
+    errors += check_references()
     errors += run_smoke_blocks()
     for error in errors:
         print(error)

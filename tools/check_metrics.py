@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Metrics-name drift check: documented names vs. emitted names.
 
-``docs/ARCHITECTURE.md`` and ``docs/BENCHMARKING.md`` enumerate the
-metric counters and trace spans the codebase emits.  Those lists rot
-silently: renaming a counter in ``src/`` leaves the prose pointing at a
-name no registry snapshot will ever contain.  This check (part of the
+``docs/ARCHITECTURE.md`` enumerates the metric counters and trace
+spans the codebase emits.  Those lists rot silently: renaming a counter
+in ``src/`` leaves the prose pointing at a name no registry snapshot
+will ever contain.  This check (part of the
 ``docs-check`` CI job, runnable locally as ``python
 tools/check_metrics.py``) parses every emission site and fails when a
 documented name has no emitter.
@@ -44,7 +44,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
-SCANNED_DOCS = ["docs/ARCHITECTURE.md", "docs/BENCHMARKING.md"]
+SCANNED_DOCS = ["docs/ARCHITECTURE.md"]
 
 #: Calls whose first string argument names a metric (attribute calls on
 #: the registry) or a span.
