@@ -29,6 +29,7 @@ facts (``A(1, 2).``).  Tgd files hold one tgd per line
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +50,8 @@ from .lang.programs import Program
 #: Exit code for a run that completed PARTIALLY under a resource limit:
 #: the printed facts are sound but the fixpoint was not reached.
 EXIT_PARTIAL = 3
+#: Standard output was closed by its reader (128 + SIGPIPE, as a shell reports it).
+EXIT_BROKEN_PIPE = 141
 
 
 def _read(path: str) -> str:
@@ -1108,7 +1111,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``): close quietly.  Standard
+        # output goes to devnull so the exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

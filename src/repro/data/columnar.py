@@ -10,7 +10,7 @@ dataclasses, which is where the compiled kernels
 The backend is selected through the existing :class:`~.database.Database`
 constructor -- ``Database(backend="columnar")`` -- and preserves the five
 documented storage seams (``candidates`` / ``_add_row`` /
-``__contains__`` / ``empty_like`` / ``copy``) bit-for-bit in behaviour;
+``contains_tuple`` / ``empty_like`` / ``copy``) bit-for-bit in behaviour;
 see ``docs/STORAGE.md`` for the full contract.
 
 **Representation convention ("ints pass through, Terms encode").**
@@ -232,6 +232,23 @@ class ColumnarRelation:
             view.setdefault(tuple(row[p] for p in positions), set()).add(row)
         return True
 
+    def extend(self, rows: set) -> int:
+        """Bulk :meth:`add` of already-encoded int rows; returns how many
+        were new.  One set difference, one ``extend`` per column log and
+        one pass per built view -- no per-row call, no re-encoding."""
+        fresh = rows - self.rows
+        self.rows |= fresh
+        for column, values in zip(self.columns, zip(*fresh)):
+            column.extend(values)
+        self.appended += len(fresh)
+        for pos, view in self._views.items():
+            for row in fresh:
+                view.setdefault(row[pos], set()).add(row)
+        for positions, view in self._composites.items():
+            for row in fresh:
+                view.setdefault(tuple(row[p] for p in positions), set()).add(row)
+        return len(fresh)
+
     def discard(self, row: tuple[int, ...]) -> bool:
         """Remove an int row from the live set and all built views.
 
@@ -417,6 +434,14 @@ class ColumnarDatabase(Database):
             return True
         return False
 
+    def _union_rows(self, predicate: str, rows: ColumnarRelation) -> int:
+        rel = self._relations.get(predicate)
+        if rel is None:
+            rel = self._relations[predicate] = ColumnarRelation(rows.arity)
+        added = rel.extend(rows.rows)
+        self._size += added
+        return added
+
     def discard(self, atom: Atom) -> bool:
         rel = self._relations.get(atom.predicate)
         if rel is None:
@@ -441,19 +466,14 @@ class ColumnarDatabase(Database):
         return tuple(out)
 
     # -- queries ---------------------------------------------------------------
-    def __contains__(self, atom: Atom) -> bool:
-        rel = self._relations.get(atom.predicate)
-        if rel is None:
-            return False
-        row = self._lookup_row(atom.args)
-        return row is not None and row in rel.rows
-
     def contains_tuple(self, predicate: str, row: tuple) -> bool:
         rel = self._relations.get(predicate)
         if rel is None:
             return False
+        if row in rel.rows:  # already-encoded rows: no per-element pass
+            return True
         encoded = self._lookup_row(row)
-        return encoded is not None and encoded in rel.rows
+        return encoded is not None and encoded != row and encoded in rel.rows
 
     def atoms(self) -> Iterator[Atom]:
         decode = self._table.decode

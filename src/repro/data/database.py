@@ -36,11 +36,13 @@ class Database:
     **Fault seams.** The engines reach storage through exactly three
     methods -- :meth:`candidates` (every join probe), :meth:`_add_row`
     (every insertion, via :meth:`add`/:meth:`add_fact`) and
-    :meth:`__contains__` (membership tests).  The fault-injection
-    harness (:class:`repro.resilience.faults.FaultyDatabase`) relies on
-    this: it subclasses ``Database`` and overrides only those three
-    seams, so any new storage entry point added here must either route
-    through them or be mirrored in the harness.
+    :meth:`contains_tuple` (every membership test; ``atom in db``
+    delegates to it).  The fault-injection harness
+    (:class:`repro.resilience.faults.FaultyDatabase`) relies on this: it
+    subclasses ``Database`` and overrides those three seams plus
+    :meth:`_union_rows`, the bulk form of ``_add_row`` behind
+    :meth:`update`, so any new storage entry point added here must
+    either route through them or be mirrored in the harness.
     """
 
     __slots__ = ("_relations", "_arities", "_indexes", "_size", "_scans")
@@ -211,24 +213,46 @@ class Database:
     def update(self, other: "Database") -> int:
         """Union-in another database; return the number of new atoms.
 
-        Same-backend unions move raw rows; across backends the atoms are
-        decoded and re-encoded through :meth:`add`.
+        Same-backend unions are **bulk**, one set difference per
+        predicate instead of an :meth:`_add_row` call per row (the
+        semi-naive round barrier moves whole deltas this way); across
+        backends the atoms are decoded and re-encoded through
+        :meth:`add`.
         """
         if other.backend != self.backend:
             return sum(1 for atom in other.atoms() if self.add(atom))
         added = 0
         for pred, rows in other._relations.items():
-            for row in rows:
-                if self._add_row(pred, row):
-                    added += 1
+            if rows:
+                arity = other._arities[pred]
+                known_arity = self._arities.setdefault(pred, arity)
+                if known_arity != arity:
+                    raise ArityError(
+                        f"predicate {pred} has arity {known_arity}, got a {arity}-tuple"
+                    )
+                added += self._union_rows(pred, rows)
         return added
+
+    def _union_rows(self, predicate: str, rows) -> int:
+        """Bulk ``_add_row`` of another same-backend database's *rows* (of
+        the arity already recorded); returns how many were new."""
+        relation = self._relations.setdefault(predicate, set())
+        fresh = rows - relation
+        relation |= fresh
+        self._size += len(fresh)
+        index = self._indexes.get(predicate)
+        if index is not None:
+            for row in fresh:
+                index.insert(row)
+        return len(fresh)
 
     # -- queries ---------------------------------------------------------------------
     def __contains__(self, atom: Atom) -> bool:
-        rows = self._relations.get(atom.predicate)
-        return rows is not None and atom.args in rows
+        return self.contains_tuple(atom.predicate, atom.args)
 
     def contains_tuple(self, predicate: str, row: tuple) -> bool:
+        """Membership of a row (either representation): the seam every
+        membership test goes through, ``atom in db`` included."""
         rows = self._relations.get(predicate)
         return rows is not None and row in rows
 

@@ -19,8 +19,10 @@ array:
   :meth:`~repro.data.database.Database.candidates` guarantees them),
   first occurrences write their slot, and intra-atom repeats are the
   only per-row equality checks left;
-* the head (and each negated subgoal) is emitted by a slot-projection
-  template, so no substitution dictionaries are built on the hot path;
+* the head (and each negated subgoal) is a projection of the slot
+  array fixed at compile time (ground terms sit in the array after the
+  variable slots; one ``operator.itemgetter`` call builds the row), so
+  no substitution dictionaries are built on the hot path;
 * the *witness cutoff* of ``match_body`` (stop enumerating once every
   head variable is bound) becomes a compile-time ``witness_depth``
   instead of a per-node ``all(v in bindings)`` scan.
@@ -52,15 +54,27 @@ any sub-enumeration, which is what makes the semi-naive engine beat
 naive on rules with redundant existential atoms instead of losing 5× to
 it.
 
-**Fault seams and governance.**  Kernels reach storage only through the
-three documented seams -- every probe goes through ``candidates``, every
-negated check through ``__contains__`` -- and tick the resource governor
-per emitted head, so fault injection and graceful degradation behave
-exactly as they do on the reference path.
+**Rows out, not Atoms.**  :meth:`JoinKernel.run` returns head *rows* in
+the database's storage representation.  The engines test them for
+novelty with ``contains_tuple``, insert them with ``_add_row`` and union
+whole deltas in bulk (``Database.update``); an ``Atom`` is built only at
+the output boundary (``atoms()``, ``atoms_for``, result documents).
+Over 95% of the firings of a dense join are duplicates, so what one
+emission costs is what the join costs.  Kernels stay interpreted slot
+programs: per-kernel generated source was measured and left out, because
+compiling it is paid 1 476 times inside the set-up of the
+``optimize-corpus`` benchmark (docs/ARCHITECTURE.md has the numbers).
+
+**Fault seams and governance.**  Kernels read storage only through the
+documented seams -- every probe goes through ``candidates``, every
+negated check and duplicate count through ``contains_tuple`` -- and tick
+the resource governor per emitted head, so fault injection and graceful
+degradation behave exactly as they do on the reference path.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ..data.database import Database
@@ -91,7 +105,7 @@ class _Step:
         "slot_bound",
         "binds",
         "self_checks",
-        "neg_base",
+        "neg_row",
         "neg_slots",
         "body_position",
         "prune",
@@ -106,7 +120,7 @@ class _Step:
         slot_bound: tuple[tuple[int, int], ...],
         binds: tuple[tuple[int, int], ...],
         self_checks: tuple[tuple[int, int], ...],
-        neg_base: tuple | None,
+        neg_row,
         neg_slots: tuple[tuple[int, int], ...],
         body_position: int,
         prune: tuple[int, ...] | None = None,
@@ -118,13 +132,10 @@ class _Step:
         self.slot_bound = slot_bound
         self.binds = binds
         self.self_checks = self_checks
-        #: Negated literal only: the ground-argument row with ``None``
-        #: at variable positions (*neg_base*), plus the ``(position,
-        #: slot)`` projections filling them (*neg_slots*).  Keeping
-        #: constants in a prefilled base row -- instead of a mixed
-        #: slot-or-Term template -- removes any ambiguity between slot
-        #: numbers and storage-encoded int constants (columnar backend).
-        self.neg_base = neg_base
+        #: Negated literal only: the projection of the slot array onto
+        #: the row to test (*neg_row*, see :func:`_projection`) and the
+        #: ``(position, slot)`` pairs it reads (*neg_slots*).
+        self.neg_row = neg_row
         self.neg_slots = neg_slots
         self.body_position = body_position
         #: For the Δ-pinned step only: the positions a snapshot witness
@@ -145,43 +156,42 @@ class JoinKernel:
 
     __slots__ = (
         "head_predicate",
-        "head_base",
-        "head_slots",
+        "project",
+        "slot_template",
         "steps",
-        "n_slots",
         "witness_depth",
         "delta_position",
         "order",
-        "suffix_reads",
+        "_suffix_key",
         "_after_prefix",
     )
 
     def __init__(
         self,
         head_predicate: str,
-        head_base: tuple,
-        head_slots: tuple[tuple[int, int], ...],
+        project,
+        slot_template: tuple,
         steps: tuple[_Step, ...],
-        n_slots: int,
         witness_depth: int,
         delta_position: int | None,
         order: tuple[int, ...],
     ):
         self.head_predicate = head_predicate
-        #: Head row with constants prefilled (``None`` at variable
-        #: positions) plus the ``(position, slot)`` projections; same
-        #: base/slots split as the negated-step templates.
-        self.head_base = head_base
-        self.head_slots = head_slots
+        #: Slot array -> head row (see :func:`_projection`).  A run's
+        #: slot array starts as *slot_template*: one ``None`` per
+        #: variable, then the ground terms of the head and the negated
+        #: literals in storage representation, so a projection never
+        #: mixes slot numbers with storage-encoded int constants.
+        self.project = project
+        self.slot_template = slot_template
         self.steps = steps
-        self.n_slots = n_slots
         self.witness_depth = witness_depth
         self.delta_position = delta_position
         self.order = order
         #: Enumerated (pre-cutoff) steps reading snapshot ∪ Δ -- the rows
         #: matched there decide the duplicate-derivations-avoided count.
         self._after_prefix = tuple(
-            d
+            (d, steps[d].predicate)
             for d in range(witness_depth)
             if steps[d].positive and steps[d].source == SRC_AFTER
         )
@@ -199,7 +209,7 @@ class JoinKernel:
                 reads.add(slot)
             for _pos, slot in step.neg_slots:
                 reads.add(slot)
-        self.suffix_reads = tuple(sorted(reads))
+        self._suffix_key = _projection(sorted(reads))
 
     def run(
         self,
@@ -209,8 +219,14 @@ class JoinKernel:
         stats: EvaluationStats | None = None,
         governor=None,
         count_avoided: bool = False,
-    ) -> set[Atom]:
-        """All head atoms derivable through this kernel.
+    ) -> set[tuple]:
+        """All head rows derivable through this kernel.
+
+        The rows are in *db*'s storage representation (tuples of Terms
+        on the row backend, of interned ints on columnar) and belong to
+        :attr:`head_predicate`; callers test novelty with
+        ``contains_tuple`` and insert with ``_add_row``, so no ``Atom``
+        is built between the join and the insert.
 
         Args:
             db: the full database (``SRC_DB`` / ``SRC_AFTER`` positions
@@ -222,7 +238,10 @@ class JoinKernel:
                 discipline used by incremental maintenance, where the
                 materialized database is the only consistent source).
             stats: join-work counters (``rule_firings``,
-                ``subgoal_attempts``, ``duplicates_avoided``).
+                ``subgoal_attempts``, ``duplicates_avoided``); they are
+                accumulated in locals and flushed on the way out, so an
+                interrupted run (governor trip, injected fault) still
+                reports exactly the work it did.
             governor: optional resource governor, ticked per emission.
             count_avoided: account duplicate derivations avoided by the
                 snapshot discipline (needs *delta*; a lower bound -- only
@@ -240,70 +259,49 @@ class JoinKernel:
             else:
                 sources.append(db)
 
-        slots: list = [None] * self.n_slots
+        slots = list(self.slot_template)
         rows_at: list[tuple | None] = [None] * len(steps)
-        derived: set[Atom] = set()
-        head_base = self.head_base
-        head_slots = self.head_slots
+        derived: set[tuple] = set()
+        add = derived.add
+        project = self.project
+        present = db.contains_tuple
+        tick = governor.tick if governor is not None else None
         wd = self.witness_depth
         n = len(steps)
-        counting = count_avoided and delta is not None and self._after_prefix
-        avoided = 0
+        counting = (
+            self._after_prefix if count_avoided and delta is not None else ()
+        )
+        firings = attempts = avoided = 0
         # Existential-suffix memo: suffix satisfiability keyed by the
         # slots the suffix reads.  Sound because the sources are fixed
         # for the whole run (engines update databases between runs).
-        suffix_reads = self.suffix_reads
+        suffix_key = self._suffix_key
         suffix_memo: dict[tuple, bool] = {}
 
-        def emit() -> None:
-            nonlocal avoided
-            if stats is not None:
-                stats.rule_firings += 1
-            if governor is not None:
-                governor.tick()
-            if head_slots:
-                parts = list(head_base)
-                for pos, slot in head_slots:
-                    parts[pos] = slots[slot]
-                derived.add(Atom(self.head_predicate, tuple(parts)))
-            else:
-                derived.add(Atom(self.head_predicate, head_base))
-            if counting:
-                for d in self._after_prefix:
-                    row = rows_at[d]
-                    if row is not None and delta.contains_tuple(
-                        steps[d].predicate, row
-                    ):
-                        avoided += 1
-
-        def exists(depth: int) -> bool:
-            """Satisfiability of the suffix: stop at the first witness."""
-            nonlocal avoided
-            if depth == n:
-                return True
-            step = steps[depth]
-            if stats is not None:
-                stats.subgoal_attempts += 1
-            if not step.positive:
-                parts = list(step.neg_base)
-                for pos, slot in step.neg_slots:
-                    parts[pos] = slots[slot]
-                return Atom(step.predicate, tuple(parts)) not in db and exists(
-                    depth + 1
-                )
+        def probe(step: _Step, depth: int):
             if step.slot_bound:
                 bound = dict(step.const_bound)
                 for pos, slot in step.slot_bound:
                     bound[pos] = slots[slot]
-            elif step.const_bound:
-                bound = step.const_bound
             else:
-                bound = _NO_BOUND
-            source = sources[depth]
+                bound = step.const_bound
+            return sources[depth].candidates(step.predicate, bound)
+
+        def exists(depth: int) -> bool:
+            """Satisfiability of the suffix: stop at the first witness."""
+            nonlocal attempts, avoided
+            if depth == n:
+                return True
+            step = steps[depth]
+            attempts += 1
+            if not step.positive:
+                return not present(step.predicate, step.neg_row(slots)) and exists(
+                    depth + 1
+                )
             binds = step.binds
             self_checks = step.self_checks
             prune = step.prune if before is not None else None
-            for row in source.candidates(step.predicate, bound):
+            for row in probe(step, depth):
                 if prune is not None and _has_witness(
                     before, step.predicate, row, prune
                 ):
@@ -324,41 +322,20 @@ class JoinKernel:
             return False
 
         def search(depth: int) -> None:
-            nonlocal avoided
-            if depth == wd:
-                if wd == n:
-                    emit()
-                    return
-                key = tuple(slots[s] for s in suffix_reads)
-                hit = suffix_memo.get(key)
-                if hit is None:
-                    suffix_memo[key] = hit = exists(depth)
-                if hit:
-                    emit()
-                return
+            """Enumerate steps ``depth .. wd-1``; the last one emits."""
+            nonlocal firings, attempts, avoided
             step = steps[depth]
-            if stats is not None:
-                stats.subgoal_attempts += 1
+            attempts += 1
             if not step.positive:
-                parts = list(step.neg_base)
-                for pos, slot in step.neg_slots:
-                    parts[pos] = slots[slot]
-                if Atom(step.predicate, tuple(parts)) not in db:
+                # Binds nothing, so it is never the last enumerated step.
+                if not present(step.predicate, step.neg_row(slots)):
                     search(depth + 1)
                 return
-            if step.slot_bound:
-                bound = dict(step.const_bound)
-                for pos, slot in step.slot_bound:
-                    bound[pos] = slots[slot]
-            elif step.const_bound:
-                bound = step.const_bound
-            else:
-                bound = _NO_BOUND
-            source = sources[depth]
             binds = step.binds
             self_checks = step.self_checks
             prune = step.prune if before is not None else None
-            for row in source.candidates(step.predicate, bound):
+            last = depth + 1 == wd
+            for row in probe(step, depth):
                 if prune is not None and _has_witness(
                     before, step.predicate, row, prune
                 ):
@@ -375,12 +352,53 @@ class JoinKernel:
                     if not ok:
                         continue
                 rows_at[depth] = row
-                search(depth + 1)
+                if not last:
+                    search(depth + 1)
+                    continue
+                if wd != n:
+                    key = suffix_key(slots)
+                    hit = suffix_memo.get(key)
+                    if hit is None:
+                        suffix_memo[key] = hit = exists(wd)
+                    if not hit:
+                        continue
+                firings += 1
+                if tick is not None:
+                    tick()
+                add(project(slots))
+                for d, predicate in counting:
+                    if delta.contains_tuple(predicate, rows_at[d]):
+                        avoided += 1
 
-        search(0)
-        if avoided and stats is not None:
-            stats.duplicates_avoided += avoided
+        try:
+            if wd:
+                search(0)
+            elif exists(0):
+                # Variable-free head: one emission if the body holds.
+                firings += 1
+                if tick is not None:
+                    tick()
+                add(project(slots))
+        finally:
+            if stats is not None:
+                stats.rule_firings += firings
+                stats.subgoal_attempts += attempts
+                stats.duplicates_avoided += avoided
         return derived
+
+
+def _projection(indices: Sequence[int]):
+    """``slots -> tuple(slots[i] for i in indices)``, fixed at compile time.
+
+    ``operator.itemgetter`` does it in one C call, but returns a bare
+    value for one index and rejects none; rows are always tuples.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda slots: (slots[only],)
+    return lambda slots: ()
 
 
 def _has_witness(
@@ -459,6 +477,24 @@ def compile_kernel(
     order = tuple(order)
 
     slot_of: dict[Variable, int] = {}
+    # Every variable is bound by a positive literal, so the slot count is
+    # known up front and ground terms can be given slots after them.
+    n_slots = len(
+        {t for lit in body if lit.positive for t in lit.atom.args if isinstance(t, Variable)}
+    )
+    constants: list = []
+
+    def row_of(atom: Atom):
+        """The projection of the slot array onto *atom*'s (bound) row."""
+        indices = []
+        for term in atom.args:
+            if isinstance(term, Variable):
+                indices.append(slot_of[term])
+            else:
+                indices.append(n_slots + len(constants))
+                constants.append(store(term))
+        return _projection(indices)
+
     steps: list[_Step] = []
     bound_vars: set[Variable] = set()
     witness_depth = len(order)
@@ -523,9 +559,6 @@ def compile_kernel(
         else:
             # plan_order schedules a negated literal only once fully
             # bound, so every variable already has a slot.
-            neg_base = tuple(
-                None if isinstance(t, Variable) else store(t) for t in atom.args
-            )
             neg_slots = tuple(
                 (pos, slot_of[t])
                 for pos, t in enumerate(atom.args)
@@ -540,7 +573,7 @@ def compile_kernel(
                     (),
                     (),
                     (),
-                    neg_base,
+                    row_of(atom),
                     neg_slots,
                     body_index,
                 )
@@ -554,21 +587,13 @@ def compile_kernel(
             f"head variables {missing} never bound by the body (unsafe rule)"
         )
 
-    head_base = tuple(
-        None if isinstance(t, Variable) else store(t) for t in head.args
-    )
-    head_slots = tuple(
-        (pos, slot_of[t])
-        for pos, t in enumerate(head.args)
-        if isinstance(t, Variable)
-    )
+    project = row_of(head)
     metrics_registry().increment("compile.kernels_built")
     return JoinKernel(
         head.predicate,
-        head_base,
-        head_slots,
+        project,
+        (None,) * n_slots + tuple(constants),
         tuple(steps),
-        len(slot_of),
         witness_depth,
         delta_position,
         order,

@@ -173,9 +173,10 @@ class MaterializedView:
                             derived = self._fire_variant(
                                 rule_index, rule, position, delta, work, governor
                             )
-                            for fact in derived:
-                                if fact not in self._materialized and fact not in new_delta:
-                                    new_delta.add(fact)
+                            head = rule.head.predicate
+                            for row in derived:
+                                if not self._materialized.contains_tuple(head, row):
+                                    new_delta._add_row(head, row)
                     added = self._materialized.update(new_delta)
                     stats.inserted += added
                     if governor is not None:
@@ -248,8 +249,8 @@ class MaterializedView:
         delta: Database,
         work: EvaluationStats,
         governor: ResourceGovernor | None,
-    ) -> set[Atom]:
-        """One delta-variant against the materialized database."""
+    ) -> set[tuple]:
+        """One delta-variant against the materialized database, as head rows."""
         private = self._private_positions.get((rule_index, position))
         if private is not None:
             delta = self._project_delta(
@@ -259,14 +260,17 @@ class MaterializedView:
             return self._kernels.kernel(rule_index, position).run(
                 self._materialized, delta=delta, stats=work, governor=governor
             )
-        return fire_rule(
-            self._materialized,
-            rule.head,
-            rule.body,
-            stats=work,
-            source_for={position: delta},
-            governor=governor,
-        )
+        return {
+            atom.args
+            for atom in fire_rule(
+                self._materialized,
+                rule.head,
+                rule.body,
+                stats=work,
+                source_for={position: delta},
+                governor=governor,
+            )
+        }
 
     @staticmethod
     def _project_delta(
@@ -321,12 +325,13 @@ class MaterializedView:
                     derived = self._fire_variant(
                         rule_index, rule, position, delta, work, self.governor
                     )
-                    for fact in derived:
+                    head = rule.head.predicate
+                    for row in derived:
                         # Base facts not explicitly deleted are protected.
-                        if fact in self._base:
+                        if self._base.contains_tuple(head, row):
                             continue
-                        if fact not in overdeleted:
-                            new_delta.add(fact)
+                        if not overdeleted.contains_tuple(head, row):
+                            new_delta._add_row(head, row)
             overdeleted.update(new_delta)
             delta = new_delta
         return overdeleted

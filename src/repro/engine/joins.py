@@ -55,28 +55,48 @@ def plan_order(
     relation otherwise ties at size 0 and the tie-break degenerates to
     body order.  Real statistics always win over estimates.
     """
+    sizes: dict[str, int] = {}
+
     def size(predicate: str) -> int:
-        count = db.count(predicate)
-        if count == 0 and hints:
-            return hints.get(predicate, 0)
+        count = sizes.get(predicate)
+        if count is None:
+            count = db.count(predicate)
+            if count == 0 and hints:
+                count = hints.get(predicate, 0)
+            sizes[predicate] = count
         return count
+
+    # Per literal, once per call: its variable occurrences, its distinct
+    # variables, the preferred ones among them, and how many argument
+    # positions hold a ground term (bound from the start).
+    occurrences: list[tuple[Variable, ...]] = []
+    distinct: list[frozenset[Variable]] = []
+    preferred: list[frozenset[Variable]] = []
+    ground: list[int] = []
+    for literal in literals:
+        variables = tuple(literal.atom.variables())
+        occurrences.append(variables)
+        distinct.append(frozenset(variables))
+        preferred.append(distinct[-1] & prefer_vars)
+        ground.append(len(literal.atom.args) - len(variables))
 
     remaining = set(range(len(literals)))
     bound: set[Variable] = set(initially_bound)
     order: list[int] = []
-    if first is not None:
-        order.append(first)
-        remaining.discard(first)
-        bound.update(literals[first].atom.variables())
+    negatives = [i for i, literal in enumerate(literals) if not literal.positive]
 
     def emit_ready_negatives() -> None:
-        for i in sorted(remaining):
-            literal = literals[i]
-            if not literal.positive and literal.atom.variable_set() <= bound:
+        for i in negatives:
+            if i in remaining and distinct[i] <= bound:
                 order.append(i)
                 remaining.discard(i)
 
-    emit_ready_negatives()
+    if first is not None:
+        order.append(first)
+        remaining.discard(first)
+        bound.update(distinct[first])
+    if negatives:
+        emit_ready_negatives()
     while remaining:
         best = None
         best_key = None
@@ -84,18 +104,11 @@ def plan_order(
             literal = literals[i]
             if not literal.positive:
                 continue
-            atom = literal.atom
-            bound_positions = sum(
-                1 for t in atom.args if not isinstance(t, Variable) or t in bound
-            )
-            new_preferred = sum(
-                1
-                for v in atom.variable_set()
-                if v in prefer_vars and v not in bound
-            )
+            bound_positions = ground[i] + sum(1 for v in occurrences[i] if v in bound)
+            new_preferred = len(preferred[i] - bound)
             # Prefer more bound positions, then binding head variables,
             # then smaller relations, then stable original order.
-            key = (-bound_positions, -new_preferred, size(atom.predicate), i)
+            key = (-bound_positions, -new_preferred, size(literal.atom.predicate), i)
             if best_key is None or key < best_key:
                 best, best_key = i, key
         if best is None:
@@ -104,8 +117,9 @@ def plan_order(
             raise AssertionError("unbound negated literal survived safety checking")
         order.append(best)
         remaining.discard(best)
-        bound.update(literals[best].atom.variables())
-        emit_ready_negatives()
+        bound.update(distinct[best])
+        if negatives:
+            emit_ready_negatives()
     return order
 
 

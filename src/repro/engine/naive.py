@@ -80,12 +80,16 @@ def naive_fixpoint(
                                     result, stats=stats, governor=governor
                                 )
                             else:
-                                derived = fire_rule(
-                                    result, rule.head, rule.body, stats=stats,
-                                    governor=governor,
-                                )
-                            for atom in derived:
-                                if result.add(atom):
+                                derived = {
+                                    atom.args
+                                    for atom in fire_rule(
+                                        result, rule.head, rule.body,
+                                        stats=stats, governor=governor,
+                                    )
+                                }
+                            head = rule.head.predicate
+                            for row in derived:
+                                if result._add_row(head, row):
                                     stats.facts_derived += 1
                                     if governor is not None:
                                         governor.add_facts(1)

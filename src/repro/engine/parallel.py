@@ -65,7 +65,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..data.columnar import note_pool_started, note_pool_stopped, symbol_table
 from ..data.database import Database
 from ..errors import ReproError, ResourceLimitExceeded, UnsafeRuleError, WorkerCrashError
-from ..lang.atoms import Atom
 from ..lang.programs import Program
 from ..lang.serialize import program_from_dict, program_to_dict
 from ..lang.terms import Variable
@@ -364,9 +363,10 @@ class _WorkerState:
                     governor,
                     self.variants[rule_index],
                 )
-                for atom in derived:
-                    if atom not in self.full:
-                        derived_rows.setdefault(atom.predicate, set()).add(atom.args)
+                head = rule.head.predicate
+                fresh = [r for r in derived if not self.full.contains_tuple(head, r)]
+                if fresh:
+                    derived_rows.setdefault(head, set()).update(fresh)
         except ResourceLimitExceeded as error:
             report = error.report.to_dict()
         # Advance the snapshot to F_{k-1} for the next round.
@@ -730,9 +730,8 @@ def _sharded_fixpoint(
             for reply in replies:
                 for pred, rows in reply["derived"].items():
                     for row in rows:
-                        atom = Atom(pred, tuple(row))
-                        if atom not in full and atom not in new_delta:
-                            new_delta.add(atom)
+                        if not full.contains_tuple(pred, row):
+                            new_delta._add_row(pred, row)
             snapshot.update(delta)
             added = full.update(new_delta)
             stats.facts_derived += added

@@ -21,7 +21,10 @@ The default execution path runs compiled :class:`~repro.engine.compile.JoinKerne
 programs (one per rule/delta-position variant, cached across rounds);
 ``use_compiled=False`` keeps the original
 :func:`~repro.engine.joins.fire_rule` reference path for differential
-testing.
+testing.  Either way a round handles head *rows* in storage
+representation: novelty by ``contains_tuple``, insertion by
+``_add_row``, and the round barrier (``snapshot ∪= Δ``, ``full ∪= Δ'``)
+is one bulk union per predicate; no ``Atom`` is built inside the loop.
 
 In the first round the delta is the entire input database (snapshot
 ``F_0 = ∅``), which makes initial IDB facts (Section III's generalized
@@ -154,9 +157,14 @@ def seminaive_fixpoint(
                                     rule.head, rule, full, delta, stats, plans,
                                     rule_index, governor, variants[rule_index],
                                 )
-                            for atom in derived:
-                                if atom not in full and atom not in new_delta:
-                                    new_delta.add(atom)
+                            # Every membership test, then every insert:
+                            # the seam counts at any point then do not
+                            # depend on the order a set yields its rows,
+                            # so a FaultPlan fires alike on both backends.
+                            head = rule.head.predicate
+                            known = full.contains_tuple
+                            for row in [r for r in derived if not known(head, r)]:
+                                new_delta._add_row(head, row)
                     snapshot.update(delta)
                     added = full.update(new_delta)
                     stats.facts_derived += added
@@ -183,14 +191,14 @@ def _fire_rule_seminaive(
     rule_index: int,
     governor: ResourceGovernor | None = None,
     positions: tuple[int, ...] | None = None,
-) -> set[Atom]:
-    """Union of the rule's delta-variants (reference path).
+) -> set[tuple]:
+    """Union of the rule's delta-variants (reference path), as head rows.
 
     Non-delta positions read the full database here, so a fact reachable
     through several delta positions is re-derived by each variant; the
     compiled path's snapshot discipline eliminates those duplicates.
     """
-    derived: set[Atom] = set()
+    derived: set[tuple] = set()
     body = rule.body
     head_vars = frozenset(head.variables())
     if positions is None:
@@ -207,7 +215,8 @@ def _fire_rule_seminaive(
             )
             plans[key] = order
         derived.update(
-            fire_rule(
+            atom.args
+            for atom in fire_rule(
                 full,
                 head,
                 body,
@@ -230,9 +239,10 @@ def _run_delta_kernels(
     stats: EvaluationStats,
     governor: ResourceGovernor | None,
     positions: tuple[int, ...] | None = None,
-) -> set[Atom]:
-    """Union of the rule's delta-variants under the textbook discipline."""
-    derived: set[Atom] = set()
+) -> set[tuple]:
+    """Union of the rule's delta-variants under the textbook discipline,
+    as head rows in storage representation."""
+    derived: set[tuple] = set()
     if positions is None:
         positions = delta_variant_positions(rule.head, rule.body)
     for position in positions:

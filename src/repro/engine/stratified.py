@@ -131,8 +131,9 @@ def saturate_stratum(
                 derived = kernels.kernel(rule_index).run(
                     current, stats=stats, governor=governor
                 )
-                for atom in derived:
-                    if current.add(atom):
+                head = rules[rule_index].head.predicate
+                for row in derived:
+                    if current._add_row(head, row):
                         stats.facts_derived += 1
                         if governor is not None:
                             governor.add_facts(1)

@@ -3,7 +3,9 @@
 Every engine reads and writes through a handful of
 :class:`~repro.data.database.Database` operations -- ``candidates``
 (index probes / scans feeding the joins), ``_add_row`` (all fact
-insertion), and ``__contains__`` (delta-novelty checks).  Those are
+insertion; the bulk union of :meth:`Database.update` counts as one
+``add`` per row), and ``contains_tuple`` (every membership test:
+delta-novelty checks, negated subgoals, ``atom in db``).  Those are
 exactly the operations that would touch a remote backend in a scaled
 deployment, so they are the seams where this harness injects
 :class:`~repro.errors.TransientStorageError` or artificial latency.
@@ -220,15 +222,22 @@ class FaultyDatabase(Database):
         self._plan.before("candidates")
         return Database.candidates(self, predicate, bound)
 
-    def __contains__(self, atom) -> bool:
+    def contains_tuple(self, predicate: str, row: tuple) -> bool:
         self._plan.before("contains")
-        return Database.__contains__(self, atom)
+        return Database.contains_tuple(self, predicate, row)
+
+    def _union_rows(self, predicate: str, rows) -> int:
+        # The bulk union still is one "add" per row: a plan position
+        # addresses the same row as when they were inserted one by one.
+        for _ in rows:
+            self._plan.before("add")
+        return Database._union_rows(self, predicate, rows)
 
 
 class FaultyColumnarDatabase(ColumnarDatabase):
     """The columnar twin of :class:`FaultyDatabase`.
 
-    Same three intercepted seams, same plan-sharing ``copy()`` /
+    Same intercepted seams, same plan-sharing ``copy()`` /
     ``empty_like()`` discipline; the underlying storage is the
     interned-int columnar layout.
     """
@@ -273,6 +282,13 @@ class FaultyColumnarDatabase(ColumnarDatabase):
         self._plan.before("candidates")
         return ColumnarDatabase.candidates(self, predicate, bound)
 
-    def __contains__(self, atom) -> bool:
+    def contains_tuple(self, predicate: str, row: tuple) -> bool:
         self._plan.before("contains")
-        return ColumnarDatabase.__contains__(self, atom)
+        return ColumnarDatabase.contains_tuple(self, predicate, row)
+
+    def _union_rows(self, predicate: str, rows) -> int:
+        # The bulk union still is one "add" per row: a plan position
+        # addresses the same row as when they were inserted one by one.
+        for _ in rows:
+            self._plan.before("add")
+        return ColumnarDatabase._union_rows(self, predicate, rows)

@@ -484,6 +484,29 @@ class TestJsonResults:
         assert "G" in doc["database"]["facts"]
         assert doc["stats"]["iterations"] >= 1
 
+    @pytest.mark.parametrize("verb", (["eval", "--json"], ["eval"], ["parse"]))
+    def test_closed_stdout_exits_quietly(self, files, verb):
+        """``repro-datalog eval ... --json | head -c 0``: no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        argv = [verb[0], files("tc.dl", TC), *verb[1:]]
+        if verb[0] == "eval":
+            argv += ["--edb", files("edb.dl", self.CHAIN)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+
     def test_eval_json_partial_carries_degradation(self, files, capsys):
         code = main(
             [
