@@ -48,11 +48,14 @@ def test_q1_minimization_independent_of_edb(benchmark):
     the (conceptual) database grows, while evaluation cost does."""
     program = tc_with_redundant_atoms(2)
     evaluation_times = {}
+    firings = {}
     for n in (20, 45):
         result = evaluate(program, chain(n))
         evaluation_times[n] = result.stats.elapsed
-    # Evaluation grows with the EDB...
-    assert evaluation_times[45] > evaluation_times[20]
+        firings[n] = result.stats.rule_firings
+    # Evaluation grows with the EDB (counted in firings: inside the full
+    # suite one collector pause outweighs a 20-edge run's wall time)...
+    assert firings[45] > firings[20]
     # ...minimization does not involve the EDB at all (benchmarked once,
     # identical regardless of any database in scope).
     result = benchmark(lambda: minimize_program(program))

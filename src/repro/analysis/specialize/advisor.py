@@ -283,7 +283,6 @@ def execute_plan(
     plan: SpecializationPlan,
     sips: str = "left-to-right",
     governor: ResourceGovernor | None = None,
-    workers: int = 1,
 ) -> tuple[Database, EvaluationResult]:
     """Run *query* the way *plan* recommends.
 
@@ -296,17 +295,9 @@ def execute_plan(
     rec = plan.recommendation
     if rec.rewrite == "magic":
         return answer_query(
-            program,
-            db,
-            query,
-            engine=rec.engine,
-            sips=sips,
-            governor=governor,
-            workers=workers,
+            program, db, query, engine=rec.engine, sips=sips, governor=governor
         )
-    result = evaluate(
-        program, db, engine=rec.engine, governor=governor, workers=workers
-    )
+    result = evaluate(program, db, engine=rec.engine, governor=governor)
     return select_answers(result.database, query), result
 
 

@@ -247,7 +247,7 @@ def load_certificate(path: str) -> PlanCertificate:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
         raise CertificateError(f"cannot read certificate {path}: {exc}") from exc
     return PlanCertificate.from_dict(doc)
 

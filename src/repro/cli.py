@@ -55,7 +55,10 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as bad:
+        raise ReproError(f"{path} is not UTF-8 text: {bad}") from bad
 
 
 def _number_at_least(parse, minimum, expected: str):
@@ -74,7 +77,7 @@ def _number_at_least(parse, minimum, expected: str):
     return convert
 
 
-#: Worker and cadence counts: zero or fewer has no meaning.
+#: Cadence counts: zero or fewer has no meaning.
 _positive_int = _number_at_least(int, 1, "an integer >= 1")
 #: Caps and budgets (facts, rounds, nulls): zero is a legal, tight cap.
 _limit_int = _number_at_least(int, 0, "an integer >= 0")
@@ -167,19 +170,6 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
         default="rows",
         help="storage backend for the EDB and evaluation "
         "(columnar = interned-int columns; see docs/STORAGE.md)",
-    )
-
-
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    """The worker-pool selector shared by the evaluation verbs."""
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="evaluate on a pool of N worker processes (seminaive shards "
-        "each round's delta, stratified schedules independent SCCs "
-        "concurrently; results are identical to --workers 1)",
     )
 
 
@@ -441,7 +431,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         engine=args.engine,
         governor=governor,
         on_limit=args.on_limit,
-        workers=args.workers,
     )
     return _emit_result(args, result)
 
@@ -477,9 +466,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"backend {checkpoint.backend})",
             file=sys.stderr,
         )
-    result = resume_evaluation(
-        checkpoint, governor=governor, program=program, workers=args.workers
-    )
+    result = resume_evaluation(checkpoint, governor=governor, program=program)
     if args.on_limit == "raise" and result.is_partial:
         from .errors import ResourceLimitExceeded
 
@@ -637,13 +624,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         answers, result = execute_plan(
-            program,
-            edb,
-            query,
-            plan,
-            sips=certificate.sips,
-            governor=governor,
-            workers=args.workers,
+            program, edb, query, plan, sips=certificate.sips, governor=governor
         )
     else:
         method = args.method or "magic"
@@ -651,14 +632,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         kwargs = {"governor": governor}
         if method in ("magic", "supplementary"):
             kwargs["engine"] = args.engine
-            if args.workers > 1:
-                kwargs["workers"] = args.workers
-        elif args.workers > 1:
-            print(
-                f"note: --workers applies to magic/supplementary only; "
-                f"{method} runs in-process",
-                file=sys.stderr,
-            )
         answers, result = spec.answer(program, edb, query, **kwargs)
     if args.on_limit == "raise" and result.is_partial:
         from .errors import ResourceLimitExceeded
@@ -934,7 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the degradation report) as machine-readable JSON",
     )
     _add_backend_flag(p)
-    _add_workers_flag(p)
     _add_governor_flags(p)
     _add_checkpoint_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -973,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the result (database, stats, status, degradation) as JSON",
     )
-    _add_workers_flag(p)
     _add_governor_flags(p)
     p.set_defaults(func=_cmd_resume)
 
@@ -1052,7 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degradation report) as machine-readable JSON",
     )
     _add_backend_flag(p)
-    _add_workers_flag(p)
     _add_governor_flags(p)
     p.set_defaults(func=_cmd_query)
 
@@ -1122,7 +1092,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

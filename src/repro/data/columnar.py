@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, Mapping
 
-from ..errors import ArityError, GroundnessError, ReproError
+from ..errors import ArityError, GroundnessError
 from ..lang.atoms import Atom
 from ..lang.terms import Term, Variable
 from ..obs.metrics import metrics_registry
@@ -51,18 +51,6 @@ class SymbolTable:
     :class:`~repro.lang.terms.Constant` (int- and string-valued),
     :class:`~repro.lang.terms.Null`, and
     :class:`~repro.lang.terms.FrozenConstant`.  Variables are rejected.
-
-    **Fork-safety.**  Ids are allocated in interning order and never
-    reassigned, so a ``fork``-started worker inherits a table whose ids
-    agree with the master's forever after -- new ids allocated on either
-    side never collide with inherited ones the other side relies on,
-    because the parallel engine pre-interns every term a worker will
-    compile against *before* the pool starts.  ``spawn``-started workers
-    get no memory snapshot; they replay the master's allocation order
-    from :meth:`snapshot` via :meth:`preload` instead, which verifies id
-    agreement.  While any worker pool is live,
-    :func:`reset_symbol_table` refuses to run (the workers' int rows
-    would silently decode through the wrong table).
     """
 
     __slots__ = ("_ids", "_terms")
@@ -93,55 +81,8 @@ class SymbolTable:
         """The term behind *ident* (inverse of :meth:`intern`)."""
         return self._terms[ident]
 
-    def snapshot(self) -> tuple[Term, ...]:
-        """Every interned term, in id order (id ``i`` = element ``i``).
-
-        Ship this to a ``spawn``-started worker and :meth:`preload` it
-        there to reproduce the master's id assignment exactly.
-        """
-        return tuple(self._terms)
-
-    def preload(self, terms: Iterable[Term]) -> None:
-        """Replay an interning order, verifying id agreement.
-
-        Raises :class:`~repro.errors.ReproError` if any term lands on a
-        different id than its position in *terms* -- that means this
-        table already interned terms in another order and int rows
-        would decode to the wrong constants.
-        """
-        for expected, term in enumerate(terms):
-            got = self.intern(term)
-            if got != expected:
-                raise ReproError(
-                    f"symbol table preload mismatch: {term!r} interned as id "
-                    f"{got}, expected {expected}; the worker table was not "
-                    "empty or diverged from the master's allocation order"
-                )
-
 
 _GLOBAL_TABLE = SymbolTable()
-
-# Live worker pools holding forked/spawned copies of the table.  See
-# note_pool_started / note_pool_stopped (called by the parallel engine's
-# WorkerPool) and the reset_symbol_table guard below.
-_LIVE_POOLS = 0
-
-
-def note_pool_started() -> None:
-    """Record that a worker pool sharing the process table went live."""
-    global _LIVE_POOLS
-    _LIVE_POOLS += 1
-
-
-def note_pool_stopped() -> None:
-    """Record that a worker pool shut down."""
-    global _LIVE_POOLS
-    _LIVE_POOLS = max(0, _LIVE_POOLS - 1)
-
-
-def live_pool_count() -> int:
-    """How many worker pools currently share the process table."""
-    return _LIVE_POOLS
 
 
 def symbol_table() -> SymbolTable:
@@ -153,19 +94,9 @@ def reset_symbol_table() -> SymbolTable:
     """Install a fresh process-wide table; returns it.  **Tests only.**
 
     Databases created before the reset keep their old table, so never
-    mix pre- and post-reset databases in one evaluation.  Refuses to
-    run while a parallel worker pool is live: the workers carry copies
-    of the current table, and rows they return would decode through the
-    replacement's unrelated id space.
+    mix pre- and post-reset databases in one evaluation.
     """
     global _GLOBAL_TABLE
-    if _LIVE_POOLS > 0:
-        raise ReproError(
-            f"cannot reset the symbol table while {_LIVE_POOLS} worker "
-            "pool(s) are live; close the pools first (their workers hold "
-            "copies of the current table and their int rows would decode "
-            "through the wrong ids)"
-        )
     _GLOBAL_TABLE = SymbolTable()
     return _GLOBAL_TABLE
 

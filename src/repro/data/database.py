@@ -215,7 +215,7 @@ class Database:
 
         Same-backend unions are **bulk**, one set difference per
         predicate instead of an :meth:`_add_row` call per row (the
-        semi-naive round barrier moves whole deltas this way); across
+        semi-naive end-of-round commit moves whole deltas this way); across
         backends the atoms are decoded and re-encoded through
         :meth:`add`.
         """

@@ -371,7 +371,6 @@ def answer_query(
     engine: EngineName = "seminaive",
     sips: str = "left-to-right",
     governor: ResourceGovernor | None = None,
-    workers: int = 1,
 ) -> tuple[Database, EvaluationResult]:
     """Evaluate *query* over ``program(db)`` using magic sets.
 
@@ -403,9 +402,7 @@ def answer_query(
         rewriting = magic_transform(program, query, sips=sips, governor=governor)
         seeded = db.copy()
         seeded.add(rewriting.seed)
-        result = evaluate(
-            rewriting.program, seeded, engine=engine, governor=governor, workers=workers
-        )
+        result = evaluate(rewriting.program, seeded, engine=engine, governor=governor)
         answers = rewriting.answers(result.database)
         if span:
             span.add("answers", len(answers))

@@ -23,8 +23,9 @@ programs (one per rule/delta-position variant, cached across rounds);
 :func:`~repro.engine.joins.fire_rule` reference path for differential
 testing.  Either way a round handles head *rows* in storage
 representation: novelty by ``contains_tuple``, insertion by
-``_add_row``, and the round barrier (``snapshot ∪= Δ``, ``full ∪= Δ'``)
-is one bulk union per predicate; no ``Atom`` is built inside the loop.
+``_add_row``, and the end-of-round commit (``snapshot ∪= Δ``,
+``full ∪= Δ'``) is one bulk union per predicate; no ``Atom`` is built
+inside the loop.
 
 In the first round the delta is the entire input database (snapshot
 ``F_0 = ∅``), which makes initial IDB facts (Section III's generalized

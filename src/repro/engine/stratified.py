@@ -78,23 +78,17 @@ def saturate_stratum(
     current: Database,
     stats: EvaluationStats,
     governor: ResourceGovernor | None = None,
-    positive_fixpoint=None,
 ) -> tuple[Database, DegradationReport | None]:
-    """Saturate one stratum (or SCC) of *program* over *current*.
+    """Saturate one stratum of *program* over *current*.
 
     Semi-naive the positive rules, fire the negated ones, repeat until
     the negated ones add nothing.  Rules with negation only negate lower
     strata (guaranteed by stratification), so their negated subgoals
-    are already final when they are read.  This is the one stratum
-    loop: the serial engine, the parallel engine's SCC workers and its
-    master-side waves all run it.
+    are already final when they are read.
 
-    *rule_indices* index ``program.rules``.  *positive_fixpoint*
-    (``(positive_indices, database) -> (database, report)``) replaces
-    the serial semi-naive fixpoint of the positive rules -- the parallel
-    master passes its sharded one -- and accounts its own work in
-    *stats*.  Negated rules run as compiled kernels over the whole
-    database (no delta position): each outer pass re-reads everything.
+    *rule_indices* index ``program.rules``.  Negated rules run as
+    compiled kernels over the whole database (no delta position): each
+    outer pass re-reads everything.
 
     Returns the saturated database and ``None``, or -- when a limit
     trips -- the facts derived so far and the degradation report.
@@ -102,23 +96,18 @@ def saturate_stratum(
     rules = program.rules
     positive = [i for i in rule_indices if rules[i].is_positive]
     negated = [i for i in rule_indices if not rules[i].is_positive]
-    if positive_fixpoint is None:
-        positive_program = Program([rules[i] for i in positive])
-
-        def positive_fixpoint(_indices, database):
-            result = seminaive_fixpoint(positive_program, database, governor)
-            stats.merge(result.stats)
-            return result.database, result.degradation
-
+    positive_program = Program([rules[i] for i in positive])
     kernels: KernelCache | None = None
     try:
         while True:
             if positive:
-                current, report = positive_fixpoint(positive, current)
-                if report is not None:
+                result = seminaive_fixpoint(positive_program, current, governor)
+                stats.merge(result.stats)
+                current = result.database
+                if result.degradation is not None:
                     # The sub-fixpoint already degraded gracefully;
                     # propagate its report and stop deriving.
-                    return current, report
+                    return current, result.degradation
             if negated and kernels is None:
                 # Compiled late so the join orders see this stratum's
                 # positive facts rather than empty relations.

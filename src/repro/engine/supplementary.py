@@ -109,7 +109,6 @@ def answer_query_supplementary(
     query: Atom,
     engine: str = "seminaive",
     governor=None,
-    workers: int = 1,
 ):
     """Evaluate *query* via the supplementary rewriting.
 
@@ -125,9 +124,7 @@ def answer_query_supplementary(
         rewriting = supplementary_magic_transform(program, query, governor=governor)
         seeded = db.copy()
         seeded.add(rewriting.seed)
-        result = evaluate(
-            rewriting.program, seeded, engine=engine, governor=governor, workers=workers
-        )
+        result = evaluate(rewriting.program, seeded, engine=engine, governor=governor)
         answers = rewriting.answers(result.database)
         if span:
             span.add("answers", len(answers))

@@ -120,18 +120,6 @@ class TransientStorageError(ReproError):
     """
 
 
-class WorkerCrashError(TransientStorageError):
-    """A parallel evaluation worker process died mid-run.
-
-    A :class:`TransientStorageError` subtype, so the
-    :class:`~repro.resilience.EvaluationSession` retry loop treats a
-    crashed worker (OOM kill, segfault, chaos ``SIGKILL``) exactly like
-    a storage hiccup: the pool is torn down and the evaluation retries.
-    Round barriers are the checkpoint sites, so a checkpointed retry
-    resumes from the last completed round regardless of worker count.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint file is missing, corrupt, or incompatible.
 

@@ -177,7 +177,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     with trace("checkpoint.load", path=str(path)):
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as bad:
+        except (OSError, UnicodeDecodeError) as bad:
             raise CheckpointError(f"cannot read checkpoint {path}: {bad}") from bad
         try:
             document = json.loads(text)
@@ -430,7 +430,6 @@ def resume_evaluation(
     governor: "ResourceGovernor | None" = None,
     database: "Database | None" = None,
     program: Program | None = None,
-    workers: int = 1,
 ) -> "EvaluationResult":
     """Continue an interrupted evaluation from *checkpoint*.
 
@@ -449,9 +448,6 @@ def resume_evaluation(
         program: when given, verified against the stored fingerprint --
             a mismatch raises :class:`~repro.errors.CheckpointError`
             instead of silently computing the wrong model.
-        workers: continue on this many worker processes.  Checkpoints
-            record only barrier states, which serial and parallel runs
-            share, so any worker count can resume any checkpoint.
     """
     from ..engine.fixpoint import evaluate, get_engine
     from ..engine.seminaive import seminaive_fixpoint
@@ -476,23 +472,9 @@ def resume_evaluation(
                 state = ResumeState(
                     database=db, delta=state.delta, round=state.round
                 )
-            if workers > 1:
-                from ..engine.parallel import parallel_seminaive_fixpoint
-
-                return parallel_seminaive_fixpoint(
-                    checkpoint.program,
-                    db,
-                    governor=governor,
-                    workers=workers,
-                    resume_state=state,
-                )
             return seminaive_fixpoint(
                 checkpoint.program, db, governor=governor, resume_state=state
             )
         return evaluate(
-            checkpoint.program,
-            db,
-            engine=checkpoint.engine,
-            governor=governor,
-            workers=workers,
+            checkpoint.program, db, engine=checkpoint.engine, governor=governor
         )

@@ -310,11 +310,7 @@ class ResourceGovernor:
         return self._rounds
 
     def checkpoint(
-        self,
-        db: Any = None,
-        round: int | None = None,
-        delta: Any = None,
-        extra_bytes: int = 0,
+        self, db: Any = None, round: int | None = None, delta: Any = None
     ) -> None:
         """Round-boundary check: rounds, memory, deadline, cancellation.
 
@@ -324,9 +320,6 @@ class ResourceGovernor:
         frontier in flight (``None`` on engines without one); it is not
         inspected here, only forwarded to the :attr:`on_round` hook so
         durable checkpoints can capture a resumable frontier.
-        *extra_bytes* joins the memory estimate -- the parallel engine
-        passes the aggregated worker-side database footprints so the
-        memory cap governs the whole pool, not just the master replica.
 
         The hook runs **before** limits are enforced: when this very
         round boundary trips a limit, the state at the trip is already
@@ -341,7 +334,7 @@ class ResourceGovernor:
             if self.max_rounds is not None and self._rounds > self.max_rounds:
                 self._trip("max_rounds", f"exceeded {self.max_rounds} fixpoint rounds")
         if self.max_memory_bytes is not None and db is not None:
-            estimate = approximate_database_bytes(db) + extra_bytes
+            estimate = approximate_database_bytes(db)
             if estimate > self.max_memory_bytes:
                 self._trip(
                     "max_memory",

@@ -121,13 +121,6 @@ class EvaluationSession:
             :meth:`~repro.resilience.checkpoint.CheckpointManager.on_round`
             into the governor (creating a limitless governor if none
             was given, so the hook has a carrier).
-        workers: evaluate each attempt on a pool of this many worker
-            processes (see :mod:`repro.engine.parallel`).  A crashed
-            worker surfaces as :class:`~repro.errors.WorkerCrashError`,
-            a retryable transient, so the retry loop restarts the
-            attempt -- from the last barrier checkpoint when a manager
-            is attached, since parallel runs checkpoint at the same
-            round barriers serial ones do.
     """
 
     def __init__(
@@ -141,7 +134,6 @@ class EvaluationSession:
         fault_plan: FaultPlan | None = None,
         on_limit: str = "partial",
         checkpoint_manager: CheckpointManager | None = None,
-        workers: int = 1,
     ):
         if on_limit not in ("partial", "raise"):
             raise ValueError(f"on_limit must be 'partial' or 'raise', got {on_limit!r}")
@@ -154,7 +146,6 @@ class EvaluationSession:
         self.fault_plan = fault_plan
         self.on_limit = on_limit
         self.checkpoint_manager = checkpoint_manager
-        self.workers = workers
         if checkpoint_manager is not None:
             from ..engine.fixpoint import get_engine
 
@@ -201,7 +192,6 @@ class EvaluationSession:
                 governor=self.governor,
                 database=source,
                 program=self.program,
-                workers=self.workers,
             )
         except CheckpointError:
             return None
@@ -222,33 +212,15 @@ class EvaluationSession:
         if spec.kind == "query":
             if self.query is None:
                 raise ValueError(f"engine {self.engine!r} requires a query atom")
-            extra = {}
-            if self.workers > 1 and self.engine in ("magic", "supplementary"):
-                # These rewrite-then-evaluate engines thread workers into
-                # their inner bottom-up run; topdown has no fixpoint loop
-                # to shard and runs in-process regardless.
-                extra["workers"] = self.workers
-            answers, result = spec.answer(
-                self.program, source, self.query, governor=self.governor, **extra
+            return spec.answer(
+                self.program, source, self.query, governor=self.governor
             )
-            return answers, result
         if spec.kind != "fixpoint":
             raise ValueError(
                 f"engine {self.engine!r} is a {spec.kind} engine and cannot be "
                 "driven by an EvaluationSession"
             )
-        if self.workers > 1:
-            from ..engine.parallel import parallel_evaluate
-
-            result = parallel_evaluate(
-                self.program,
-                source,
-                engine=self.engine,
-                governor=self.governor,
-                workers=self.workers,
-            )
-        else:
-            result = spec.run(self.program, source, governor=self.governor)
+        result = spec.run(self.program, source, governor=self.governor)
         return result.database, result
 
     def run(self) -> SessionResult:

@@ -144,9 +144,8 @@ def de_chain_workload() -> Workload:
 def tc_chain_workload() -> Workload:
     """Plain nonlinear transitive closure over a chain, no redundancy.
 
-    The parallel-scaling workload: a chain of *n* edges closes to a
-    quadratic IDB through ``O(n)`` semi-naive rounds with fat deltas,
-    so per-round sharding has real work to split.
+    A chain of *n* edges closes to a quadratic IDB through semi-naive
+    rounds with fat deltas, so the join loop sets the time.
     """
     return Workload(
         name="tc/chain",

@@ -197,6 +197,24 @@ class TestRecoveryFallback:
         corrupt_checkpoint(path, mode="truncate")
         assert manager.latest() is not None
 
+    def test_undecodable_latest_falls_back_to_previous(self, tmp_path):
+        # A byte >= 0x80 breaks the UTF-8 decode before JSON or the
+        # checksum are reached; it is a torn write like any other.
+        from repro.obs.metrics import metrics_registry
+
+        path = tmp_path / "ck.json"
+        manager, _ = checkpointed_run(path)
+        previous_round = load_checkpoint(str(path) + ".prev").round
+        data = bytearray(path.read_bytes())
+        data[200] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        skipped = metrics_registry().counter("checkpoint.corrupt_skipped")
+        recovered = manager.latest()
+        assert recovered is not None and recovered.round == previous_round
+        assert metrics_registry().counter("checkpoint.corrupt_skipped") == skipped + 1
+
     def test_both_generations_corrupt_yields_none(self, tmp_path):
         path = tmp_path / "ck.json"
         manager, _ = checkpointed_run(path)

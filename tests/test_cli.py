@@ -640,17 +640,13 @@ class TestCheckpointFlags:
 #: flags on every verb that takes them.  argparse rejects the value
 #: before any file is read, so the paths need not exist.
 _HOSTILE_FLAGS = [
-    (["eval", "p.dl", "--edb", "e.dl"], "--workers", "0"),
-    (["eval", "p.dl", "--edb", "e.dl"], "--workers", "-1"),
     (["eval", "p.dl", "--edb", "e.dl"], "--max-facts", "-5"),
     (["eval", "p.dl", "--edb", "e.dl"], "--deadline", "-1"),
     (["eval", "p.dl", "--edb", "e.dl"], "--deadline", "nan"),
     (["eval", "p.dl", "--edb", "e.dl"], "--max-rounds", "-1"),
     (["eval", "p.dl", "--edb", "e.dl"], "--checkpoint-every", "0"),
-    (["resume", "ck.json"], "--workers", "0"),
     (["resume", "ck.json"], "--checkpoint-every", "0"),
     (["resume", "ck.json"], "--max-rounds", "-1"),
-    (["query", "p.dl", "G(0, x)", "--edb", "e.dl"], "--workers", "0"),
     (["query", "p.dl", "G(0, x)", "--edb", "e.dl"], "--max-facts", "-1"),
     (["minimize", "p.dl"], "--deadline", "-0.5"),
     (["optimize", "p.dl"], "--max-facts", "-1"),
@@ -671,3 +667,58 @@ def test_hostile_limit_values_are_usage_errors(argv, flag, value, capsys):
         main(argv + [flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "p.dl", "--edb", "e.dl"],
+        ["query", "p.dl", "G(0, x)", "--edb", "e.dl"],
+        ["resume", "ck.json"],
+    ],
+    ids=["eval", "query", "resume"],
+)
+def test_workers_flag_is_gone(argv, capsys):
+    # Evaluation is single-process (docs/ARCHITECTURE.md): the flag is
+    # not accepted and ignored, it is unknown.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_workers_keyword():
+    # bench/workloads.py reports engine.workers2_speedup as not measured
+    # by catching exactly this TypeError.
+    from repro import Database, evaluate, parse_program
+
+    with pytest.raises(TypeError, match="workers"):
+        evaluate(parse_program(TC), Database(), workers=2)
+
+
+def _unreadable(kind, tmp_path):
+    path = tmp_path / f"unreadable-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"G(x) :- \xff\xfe A(x).\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("slot", ["program", "edb", "resume", "certificate"])
+def test_unreadable_input_file_is_one_error_line(slot, kind, files, tmp_path, capsys):
+    bad = _unreadable(kind, tmp_path)
+    program, edb = files("tc.dl", TC), files("edb.dl", EDB)
+    argv = {
+        "program": ["eval", bad, "--edb", edb],
+        "edb": ["eval", program, "--edb", bad],
+        "resume": ["resume", bad],
+        "certificate": ["query", program, "G(1, x)", "--edb", edb, "--certificate", bad],
+    }[slot]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err

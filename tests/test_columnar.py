@@ -78,6 +78,18 @@ class TestSymbolTable:
         with pytest.raises(GroundnessError):
             table.intern(Variable("x"))
 
+    def test_reset_installs_a_fresh_process_table(self, monkeypatch):
+        from repro.data import columnar
+
+        old = columnar.symbol_table()
+        # Registers the undo: later tests get the old process table back.
+        monkeypatch.setattr(columnar, "_GLOBAL_TABLE", old)
+        old.intern(Constant("interned-before-reset"))
+        fresh = columnar.reset_symbol_table()
+        assert fresh is columnar.symbol_table() and fresh is not old
+        assert len(fresh) == 0
+        assert ColumnarDatabase()._table is fresh
+
 
 class TestColumnarRelation:
     def test_add_discard_and_views(self):
