@@ -170,12 +170,15 @@ class LintContext:
         config: LintConfig,
         spans: Mapping[Rule, SourceSpan] | None = None,
     ):
+        from ..core.containment import ContainmentSession
         from ..core.minimize import ContainmentBudget
 
         self.program = program
         self.config = config
         self.spans: Mapping[Rule, SourceSpan] = spans or {}
         self.containment_budget = ContainmentBudget(config.max_containment_checks)
+        #: Shared by the redundant-atom and redundant-rule scans.
+        self.containment_session = ContainmentSession()
         self._index: dict[Rule, int] = {r: i for i, r in enumerate(program.rules)}
         self._facts = None
         self._sorts = None

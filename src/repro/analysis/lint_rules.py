@@ -239,6 +239,7 @@ class RedundantAtomLint(LintRule):
             atoms=True,
             rules=False,
             budget=context.containment_budget,
+            session=context.containment_session,
         )
         for finding in scan.redundant_atoms:
             yield context.diagnostic(
@@ -273,6 +274,7 @@ class RedundantRuleLint(LintRule):
             atoms=False,
             rules=True,
             budget=context.containment_budget,
+            session=context.containment_session,
         )
         for rule in scan.redundant_rules:
             yield context.diagnostic(

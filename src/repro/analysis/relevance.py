@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..lang.programs import Program
 from ..lang.rules import Rule
-from .dependence import DependenceGraph
 
 
 @dataclass
@@ -41,12 +38,22 @@ def relevant_predicates(program: Program, goal: str) -> frozenset[str]:
     Includes the goal itself.  Unknown goals are their own (singleton)
     answer -- querying a predicate the program never mentions is legal
     and returns only stored facts.
+
+    A plain walk from the goal back through rule bodies -- the
+    dependence-graph ancestors without building the graph, since
+    uniform-containment tests call this once per test.
     """
-    graph = DependenceGraph(program).graph
-    if goal not in graph:
-        return frozenset({goal})
-    reachable = nx.ancestors(graph, goal)
-    reachable.add(goal)
+    bodies: dict[str, list[Rule]] = {}
+    for rule in program.rules:
+        bodies.setdefault(rule.head.predicate, []).append(rule)
+    reachable = {goal}
+    pending = [goal]
+    while pending:
+        for rule in bodies.get(pending.pop(), ()):
+            for literal in rule.body:
+                if literal.predicate not in reachable:
+                    reachable.add(literal.predicate)
+                    pending.append(literal.predicate)
     return frozenset(reachable)
 
 

@@ -14,19 +14,82 @@ Datalog program over a finite database cannot invent new constants.
 Naming convention used throughout this module: ``contained`` is the
 smaller program (``P2``), ``container`` the larger (``P1``), and the
 relation tested is ``contained ⊑u container``.
+
+Figs. 1-2 run the test once per candidate atom and once per candidate
+rule, against containers that differ by one rule.  A
+:class:`ContainmentSession` carries what those tests share; each
+multi-test entry point (:func:`uniformly_contains`,
+:func:`check_uniform_containment`, and in :mod:`repro.core.minimize`
+``minimize_program``, ``scan_redundancy`` and ``is_minimal``) creates
+one for the duration of its call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.relevance import relevant_predicates
 from ..data.database import Database
+from ..engine.compile import KernelCache
 from ..engine.fixpoint import EngineName, evaluate
+from ..engine.seminaive import GoalRun
+from ..lang.atoms import Atom
 from ..lang.freeze import freeze_rule
 from ..lang.programs import Program
 from ..lang.rules import Rule
 from ..obs.metrics import metrics_registry
 from ..obs.tracer import trace
+
+
+class ContainmentSession:
+    """What the uniform-containment tests of one call share.
+
+    * **One kernel store.**  Every ``seminaive`` evaluation of the
+      session compiles into one :class:`~repro.engine.compile.KernelCache`
+      keyed by rule value, so a rule common to many container programs
+      is compiled once per delta position, planned on the first
+      canonical database that needs it.
+    * **Goal-directed boolean tests.**  :func:`rule_uniformly_contained_in`
+      evaluates only the container rules the frozen head's predicate
+      depends on (:func:`~repro.analysis.relevance.relevant_predicates`)
+      and stops at the end of the round that commits the frozen head.
+      :func:`check_rule_containment` shares the kernels but runs to the
+      full fixpoint, since its output is evidence.
+
+    A session is created by the call that owns it and dropped when that
+    call returns; it is never stored globally.  Engines other than
+    ``seminaive``, and non-row storage backends, take the plain path.
+    """
+
+    __slots__ = ("kernels", "_container", "_restricted")
+
+    def __init__(self):
+        self.kernels = KernelCache()
+        #: The last container seen and its goal restrictions, by head
+        #: predicate: Fig. 1 tests one container per atom of a rule.
+        self._container: Program | None = None
+        self._restricted: dict[str, Program] = {}
+
+    def goal_run(
+        self, engine: EngineName, canonical: Database, target: Atom | None
+    ) -> GoalRun | None:
+        """The hand-off to one evaluation, or ``None`` for the plain path."""
+        if engine != "seminaive" or canonical.backend != "rows":
+            return None
+        return GoalRun(self.kernels, target)
+
+    def relevant(self, container: Program, predicate: str) -> Program:
+        """*container* restricted to the rules *predicate* depends on."""
+        if container is not self._container:
+            self._container = container
+            self._restricted = {}
+        restricted = self._restricted.get(predicate)
+        if restricted is None:
+            needed = relevant_predicates(container, predicate)
+            kept = [r for r in container.rules if r.head.predicate in needed]
+            restricted = container if len(kept) == len(container) else Program(kept)
+            self._restricted[predicate] = restricted
+        return restricted
 
 
 @dataclass(frozen=True)
@@ -70,9 +133,34 @@ def rule_uniformly_contained_in(
     container: Program,
     engine: EngineName = "seminaive",
     governor=None,
+    session: ContainmentSession | None = None,
 ) -> bool:
-    """Test ``{rule} ⊑u container`` (Section VI, single-rule case)."""
-    return _test_rule(rule, container, engine, governor).holds
+    """Test ``{rule} ⊑u container`` (Section VI, single-rule case).
+
+    The boolean path: goal-directed, and building no evidence.  Callers
+    running many tests pass their :class:`ContainmentSession`.
+    """
+    if session is None:
+        session = ContainmentSession()
+    with trace("containment.rule_test") as span:
+        frozen = freeze_rule(rule)
+        canonical = Database(frozen.body)
+        goal = session.goal_run(engine, canonical, frozen.head)
+        if goal is not None:
+            container = session.relevant(container, frozen.head.predicate)
+        # A PARTIAL evaluation here would be *unsound*: the frozen head
+        # might be derivable past the interruption point, and reporting
+        # "not contained" on that basis would let minimization delete a
+        # non-redundant atom.  A governed trip therefore always raises
+        # (on_limit="raise"); callers degrade by stopping, never by guessing.
+        result = evaluate(
+            container, canonical, engine, governor, on_limit="raise", _goal=goal
+        )
+        holds = frozen.head in result.database
+        if span:
+            span.set(rule=str(rule), holds=holds)
+    metrics_registry().increment("containment.rule_tests")
+    return holds
 
 
 def check_rule_containment(
@@ -80,24 +168,21 @@ def check_rule_containment(
     container: Program,
     engine: EngineName = "seminaive",
     governor=None,
+    session: ContainmentSession | None = None,
 ) -> RuleContainmentWitness:
-    """Like :func:`rule_uniformly_contained_in` but with full evidence."""
-    return _test_rule(rule, container, engine, governor)
+    """Like :func:`rule_uniformly_contained_in` but with full evidence.
 
-
-def _test_rule(
-    rule: Rule, container: Program, engine: EngineName, governor=None
-) -> RuleContainmentWitness:
-    # A PARTIAL evaluation here would be *unsound*: the frozen head
-    # might be derivable past the interruption point, and reporting
-    # "not contained" on that basis would let minimization delete a
-    # non-redundant atom.  A governed trip therefore always raises
-    # (on_limit="raise"); callers degrade by stopping, never by guessing.
+    Runs the whole container to its fixpoint, so ``canonical_output``
+    is the complete ``container(bθ)``.
+    """
+    if session is None:
+        session = ContainmentSession()
     with trace("containment.rule_test") as span:
         frozen = freeze_rule(rule)
         canonical = Database(frozen.body)
+        goal = session.goal_run(engine, canonical, None)
         result = evaluate(
-            container, canonical, engine=engine, governor=governor, on_limit="raise"
+            container, canonical, engine, governor, on_limit="raise", _goal=goal
         )
         holds = frozen.head in result.database
         if span:
@@ -123,8 +208,9 @@ def uniformly_contains(
     By the model characterization, this holds iff every rule of
     *contained* is uniformly contained in *container* (Section VI).
     """
+    session = ContainmentSession()
     return all(
-        _test_rule(rule, container, engine, governor).holds
+        rule_uniformly_contained_in(rule, container, engine, governor, session)
         for rule in contained.rules
     )
 
@@ -142,8 +228,10 @@ def check_uniform_containment(
     raises :class:`~repro.errors.ResourceLimitExceeded` (a partial
     answer set would mislabel undecided rules as failing).
     """
+    session = ContainmentSession()
     witnesses = [
-        _test_rule(rule, container, engine, governor) for rule in contained.rules
+        check_rule_containment(rule, container, engine, governor, session)
+        for rule in contained.rules
     ]
     return UniformContainmentReport(
         holds=all(w.holds for w in witnesses),

@@ -38,7 +38,7 @@ from ..lang.rules import Rule
 from ..obs.metrics import metrics_registry
 from ..obs.tracer import trace
 from ..resilience.governor import DegradationReport
-from .containment import rule_uniformly_contained_in
+from .containment import ContainmentSession, rule_uniformly_contained_in
 
 #: An atom-consideration order: given a rule, the body indexes to try, in order.
 AtomOrder = Callable[[Rule], Sequence[int]]
@@ -134,7 +134,7 @@ def minimize_rule(
     if rule not in context:
         raise ValueError("rule being minimized must be part of the given program context")
     minimized, _removals, _tests = _minimize_rule_within(
-        context, rule, engine, atom_order
+        context, rule, engine, atom_order, ContainmentSession()
     )
     return minimized
 
@@ -159,6 +159,7 @@ def minimize_program(
     """
     result = MinimizationResult(original=program, program=program)
     current = program
+    session = ContainmentSession()
 
     with trace("minimize.program", rules=len(program.rules)) as root:
         try:
@@ -170,7 +171,7 @@ def minimize_program(
                     if rule not in current:  # pragma: no cover - defensive; orders must yield program rules
                         continue
                     minimized, removals, tests = _minimize_rule_within(
-                        current, rule, engine, atom_order, governor
+                        current, rule, engine, atom_order, session, governor
                     )
                     result.containment_tests += tests
                     if removals:
@@ -190,7 +191,7 @@ def minimize_program(
                     candidate_program = current.without_rule(rule)
                     result.containment_tests += 1
                     if rule_uniformly_contained_in(
-                        rule, candidate_program, engine, governor
+                        rule, candidate_program, engine, governor, session
                     ):
                         result.rule_removals.append(RuleRemoval(rule))
                         current = candidate_program
@@ -212,6 +213,7 @@ def _minimize_rule_within(
     rule: Rule,
     engine: EngineName,
     atom_order: AtomOrder,
+    session: ContainmentSession,
     governor=None,
 ) -> tuple[Rule, list[AtomRemoval], int]:
     """Minimize one rule's body against the evolving program."""
@@ -232,7 +234,9 @@ def _minimize_rule_within(
             governor.tick()
         candidate = current_rule.without_body_literal(current_index)
         tests += 1
-        if rule_uniformly_contained_in(candidate, current_program, engine, governor):
+        if rule_uniformly_contained_in(
+            candidate, current_program, engine, governor, session
+        ):
             removals.append(
                 AtomRemoval(
                     rule_before=current_rule,
@@ -249,9 +253,11 @@ def _minimize_rule_within(
 class ContainmentBudget:
     """A cap on the number of uniform-containment tests a scan may run.
 
-    The Fig. 1/2 tests are each a full bottom-up evaluation, so callers
+    Each Fig. 1/2 test is a bottom-up evaluation over a canonical
+    database (goal-directed: it stops once the frozen head is derived,
+    see :class:`~repro.core.containment.ContainmentSession`), so callers
     that want *diagnostics* rather than a minimized program (the linter)
-    bound them.  ``limit=None`` means unlimited.
+    bound how many they run.  ``limit=None`` means unlimited.
 
     Every decision also feeds the process-wide metrics registry
     (``containment.budget_spent`` / ``containment.budget_skipped``),
@@ -322,6 +328,7 @@ def scan_redundancy(
     rules: bool = True,
     budget: ContainmentBudget | None = None,
     governor=None,
+    session: ContainmentSession | None = None,
 ) -> RedundancyScan:
     """Find redundant atoms (Fig. 1) and rules (Fig. 2) without mutating.
 
@@ -333,10 +340,13 @@ def scan_redundancy(
     past the cap are silently skipped and counted in ``tests_skipped``.
     Callers sharing a cap across several scans pass a *budget* instead
     (then ``containment_tests``/``tests_skipped`` report the budget's
-    running totals).
+    running totals), and share compiled kernels by passing one
+    *session* (the linter keeps both on its ``LintContext``).
     """
     if budget is None:
         budget = ContainmentBudget(max_checks)
+    if session is None:
+        session = ContainmentSession()
     scan = RedundancyScan()
     try:
         if atoms:
@@ -347,14 +357,16 @@ def scan_redundancy(
                     if not budget.take():
                         continue
                     candidate = rule.without_body_literal(index)
-                    if rule_uniformly_contained_in(candidate, program, engine, governor):
+                    if rule_uniformly_contained_in(
+                        candidate, program, engine, governor, session
+                    ):
                         scan.redundant_atoms.append(RedundantAtom(rule, index, candidate))
         if rules:
             for rule in program.rules:
                 if not budget.take():
                     continue
                 if rule_uniformly_contained_in(
-                    rule, program.without_rule(rule), engine, governor
+                    rule, program.without_rule(rule), engine, governor, session
                 ):
                     scan.redundant_rules.append(rule)
     except ResourceLimitExceeded as error:
@@ -372,14 +384,17 @@ def is_minimal(program: Program, engine: EngineName = "seminaive") -> bool:
     Used by tests and benchmarks to verify the guarantee of Theorem 2 on
     the output of :func:`minimize_program`.
     """
+    session = ContainmentSession()
     for rule in program.rules:
         for index in range(len(rule.body)):
             if not rule.can_drop_body_literal(index):
                 continue
             candidate = rule.without_body_literal(index)
-            if rule_uniformly_contained_in(candidate, program, engine):
+            if rule_uniformly_contained_in(candidate, program, engine, session=session):
                 return False
     for rule in program.rules:
-        if rule_uniformly_contained_in(rule, program.without_rule(rule), engine):
+        if rule_uniformly_contained_in(
+            rule, program.without_rule(rule), engine, session=session
+        ):
             return False
     return True

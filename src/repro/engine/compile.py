@@ -62,8 +62,9 @@ the output boundary (``atoms()``, ``atoms_for``, result documents).
 Over 95% of the firings of a dense join are duplicates, so what one
 emission costs is what the join costs.  Kernels stay interpreted slot
 programs: per-kernel generated source was measured and left out, because
-compiling it is paid 1 476 times inside the set-up of the
-``optimize-corpus`` benchmark (docs/ARCHITECTURE.md has the numbers).
+compiling it is paid once per kernel built, hundreds of times inside the
+set-up of the ``optimize-corpus`` benchmark (docs/ARCHITECTURE.md has the
+numbers).
 
 **Fault seams and governance.**  Kernels read storage only through the
 documented seams -- every probe goes through ``candidates``, every
@@ -82,7 +83,7 @@ from ..errors import UnsafeRuleError
 from ..lang.atoms import Atom, Literal
 from ..lang.terms import Term, Variable
 from ..obs.metrics import metrics_registry
-from .joins import plan_order
+from .joins import delta_variant_positions, plan_order
 from .stats import EvaluationStats
 
 #: Source tags for body positions (resolved to databases per run).
@@ -649,12 +650,23 @@ def cardinality_hint_provider(program, db: Database):
 
 
 class KernelCache:
-    """Per-evaluation cache of compiled kernels.
+    """Compiled kernels keyed by ``(rule, delta_position)``.
 
-    Keyed by ``(rule_index, delta_position)``; compilation is amortized
-    across every fixpoint round exactly like the old per-variant plan
-    cache, but the cached object is the whole kernel, not just the
-    order.
+    The key is the :class:`~repro.lang.rules.Rule` *value*, not its
+    index in a program, so one cache can serve every evaluation of every
+    program that shares a rule: compilation is amortized across the
+    fixpoint rounds of one evaluation and, in a uniform-containment
+    session (:class:`repro.core.containment.ContainmentSession`), across
+    the container programs of Figs. 1-2, which differ by one rule.  The
+    per-rule delta-variant positions (:meth:`variants`) are memoized the
+    same way.
+
+    A kernel's join order is planned against the database the cache is
+    bound to when the kernel is first needed (:meth:`bind` moves it) and
+    then kept: an order only changes how many subgoals are tried, never
+    which rows a kernel derives.  Sharing across databases is sound on
+    the row backend, whose ``store_term`` is the identity, so compiled
+    constants mean the same thing in every database.
 
     *hint_provider* supplies static per-predicate size estimates (a
     ``() -> dict[str, int]``, typically closing over
@@ -664,12 +676,16 @@ class KernelCache:
     are covered by real statistics never pay for the analysis.
     """
 
-    __slots__ = ("_rules", "_db", "_kernels", "_hint_provider", "_hints")
+    __slots__ = ("_db", "_kernels", "_variants", "_hint_provider", "_hints")
 
-    def __init__(self, rules: Sequence, db: Database, hint_provider=None):
-        self._rules = rules
+    def __init__(self, db: Database | None = None, hint_provider=None):
+        self._kernels: dict[tuple, JoinKernel] = {}
+        self._variants: dict = {}
+        self.bind(db, hint_provider)
+
+    def bind(self, db: Database | None, hint_provider=None) -> None:
+        """Plan kernels compiled from now on against *db* (and its hints)."""
         self._db = db
-        self._kernels: dict[tuple[int, int | None], JoinKernel] = {}
         self._hint_provider = hint_provider
         self._hints: Mapping[str, int] | None = None
 
@@ -685,11 +701,10 @@ class KernelCache:
             self._hints = self._hint_provider() or {}
         return self._hints
 
-    def kernel(self, rule_index: int, delta_position: int | None = None) -> JoinKernel:
-        key = (rule_index, delta_position)
+    def kernel(self, rule, delta_position: int | None = None) -> JoinKernel:
+        key = (rule, delta_position)
         kernel = self._kernels.get(key)
         if kernel is None:
-            rule = self._rules[rule_index]
             hints = self._hints_for(rule)
             if hints:
                 metrics_registry().increment("compile.hinted_plans")
@@ -702,6 +717,17 @@ class KernelCache:
             )
             self._kernels[key] = kernel
         return kernel
+
+    def variants(self, rule) -> tuple[int, ...]:
+        """The body positions needing their own semi-naive delta variant
+        (:func:`~repro.engine.joins.delta_variant_positions`); none for a
+        fact."""
+        positions = self._variants.get(rule)
+        if positions is None:
+            positions = self._variants[rule] = (
+                () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
+            )
+        return positions
 
     def __len__(self) -> int:
         return len(self._kernels)

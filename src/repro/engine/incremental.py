@@ -82,7 +82,7 @@ class MaterializedView:
         # materialized database everywhere else (before=None below):
         # during over-deletion there is no meaningful pre-round snapshot.
         self._kernels = (
-            KernelCache(program.rules, self._materialized) if use_compiled else None
+            KernelCache(self._materialized) if use_compiled else None
         )
         # Join orders for goal-directed rederivation, cached per
         # (head predicate, rule): the initially-bound set (the head
@@ -257,7 +257,7 @@ class MaterializedView:
                 delta, rule.body[position].predicate, private
             )
         if self._kernels is not None:
-            return self._kernels.kernel(rule_index, position).run(
+            return self._kernels.kernel(rule, position).run(
                 self._materialized, delta=delta, stats=work, governor=governor
             )
         return {

@@ -48,11 +48,7 @@ def naive_fixpoint(
     status = EvaluationStatus.COMPLETE
     degradation = None
     kernels = (
-        KernelCache(
-            program.rules,
-            result,
-            hint_provider=cardinality_hint_provider(program, result),
-        )
+        KernelCache(result, hint_provider=cardinality_hint_provider(program, result))
         if use_compiled
         else None
     )
@@ -76,7 +72,7 @@ def naive_fixpoint(
                         with trace("naive.rule", rule=rule_index) as span:
                             span.watch(stats)
                             if kernels is not None:
-                                derived = kernels.kernel(rule_index).run(
+                                derived = kernels.kernel(rule).run(
                                     result, stats=stats, governor=governor
                                 )
                             else:

@@ -30,9 +30,19 @@ inside the loop.
 In the first round the delta is the entire input database (snapshot
 ``F_0 = ∅``), which makes initial IDB facts (Section III's generalized
 inputs) participate correctly.
+
+**Goal-directed runs.**  A uniform-containment test only asks whether
+one ground atom is in ``P(bθ)``.  :class:`GoalRun` is the internal
+hand-off from a :class:`~repro.core.containment.ContainmentSession`: a
+kernel cache shared by every test of the session and, optionally, the
+target atom.  The loop then stops at the end of the round that commits
+the target (checked once per round), and works in the caller's freshly
+built database in place instead of copying it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from ..data.database import Database
 from ..errors import ResourceLimitExceeded, UnsafeRuleError
@@ -46,12 +56,28 @@ from .joins import delta_variant_positions, fire_rule, plan_order
 from .stats import EvaluationStats
 
 
+class GoalRun(NamedTuple):
+    """What a containment session hands one :func:`seminaive_fixpoint` run.
+
+    *kernels* outlives the run (it is the session's); *target*, when
+    set, ends the loop after the round that commits it, so the result
+    is a sound under-approximation of ``P(db)`` that holds the target
+    whenever ``P(db)`` does.  The run owns the input database: it is
+    evaluated in place, not copied.
+    """
+
+    kernels: KernelCache
+    target: Atom | None = None
+
+
 def seminaive_fixpoint(
     program: Program,
     db: Database,
     governor: ResourceGovernor | None = None,
     use_compiled: bool = True,
     resume_state=None,
+    *,
+    _goal: GoalRun | None = None,
 ) -> EvaluationResult:
     """Compute ``P(db)`` with differential iteration.
 
@@ -73,6 +99,9 @@ def seminaive_fixpoint(
     holds at every checkpoint site, so no third database is persisted).
     Replaying round *k* on this exact state continues the original
     fixpoint unchanged.
+
+    *_goal* is the internal containment-session path (see
+    :class:`GoalRun`); it implies the compiled path.
     """
     if not program.is_positive:
         raise UnsafeRuleError(
@@ -81,24 +110,27 @@ def seminaive_fixpoint(
         )
     stats = EvaluationStats(engine="seminaive")
     stats.start()
-    full = db.copy()
+    full = db if _goal is not None else db.copy()
     status = EvaluationStatus.COMPLETE
     degradation = None
+    target = None
     #: (rule, delta position) -> cached join order (reference path).
     plans: dict[tuple[int, int], list[int]] = {}
+    kernels = None
+    if _goal is not None:
+        kernels, target = _goal
+        kernels.bind(full, cardinality_hint_provider(program, full))
+    elif use_compiled:
+        kernels = KernelCache(full, cardinality_hint_provider(program, full))
     #: Per rule: the body positions that need their own delta variant
     #: (symmetric redundant-atom positions collapse to the first).
-    variants = [
-        () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
-        for rule in program.rules
-    ]
-    kernels = (
-        KernelCache(
-            program.rules, full, hint_provider=cardinality_hint_provider(program, full)
-        )
-        if use_compiled
-        else None
-    )
+    if kernels is not None:
+        variants = [kernels.variants(rule) for rule in program.rules]
+    else:
+        variants = [
+            () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
+            for rule in program.rules
+        ]
 
     with trace("seminaive.eval", rules=len(program.rules)) as root:
         root.watch(stats)
@@ -130,7 +162,8 @@ def seminaive_fixpoint(
                             stats.facts_derived += 1
                             delta.add(rule.head)
 
-            while delta:
+            reached = target is not None and target in full
+            while delta and not reached:
                 stats.iterations += 1
                 if governor is not None:
                     governor.checkpoint(full, round=stats.iterations, delta=delta)
@@ -149,7 +182,7 @@ def seminaive_fixpoint(
                             span.watch(stats)
                             if kernels is not None:
                                 derived = _run_delta_kernels(
-                                    rule, kernels, rule_index, full, delta,
+                                    rule, kernels, full, delta,
                                     snapshot, stats, governor,
                                     variants[rule_index],
                                 )
@@ -172,6 +205,8 @@ def seminaive_fixpoint(
                     if governor is not None:
                         governor.add_facts(added)
                     delta = new_delta
+                    if target is not None:
+                        reached = target in new_delta
         except ResourceLimitExceeded as error:
             status = EvaluationStatus.PARTIAL
             degradation = error.report
@@ -233,7 +268,6 @@ def _fire_rule_seminaive(
 def _run_delta_kernels(
     rule,
     kernels: KernelCache,
-    rule_index: int,
     full: Database,
     delta: Database,
     snapshot: Database,
@@ -256,7 +290,7 @@ def _run_delta_kernels(
             # cannot match -- only the position-0 variant can fire.
             continue
         derived.update(
-            kernels.kernel(rule_index, position).run(
+            kernels.kernel(rule, position).run(
                 full,
                 delta=delta,
                 before=snapshot,

@@ -111,16 +111,17 @@ def saturate_stratum(
             if negated and kernels is None:
                 # Compiled late so the join orders see this stratum's
                 # positive facts rather than empty relations.
-                kernels = KernelCache(rules, current)
+                kernels = KernelCache(current)
             added = False
             for rule_index in negated:
                 if governor is not None:
                     governor.note(rule_index=rule_index)
                     governor.tick()
-                derived = kernels.kernel(rule_index).run(
+                rule = rules[rule_index]
+                derived = kernels.kernel(rule).run(
                     current, stats=stats, governor=governor
                 )
-                head = rules[rule_index].head.predicate
+                head = rule.head.predicate
                 for row in derived:
                     if current._add_row(head, row):
                         stats.facts_derived += 1

@@ -37,11 +37,15 @@ class Rule:
     head: Atom
     body: tuple[Literal, ...]
     _variables: frozenset[Variable] = field(init=False, repr=False, compare=False, hash=False)
+    #: Rules key kernel caches and program rule sets, so the hash is
+    #: computed once.
+    _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, head: Atom, body: Sequence[Atom | Literal] = ()):
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", tuple(_as_literal(b) for b in body))
         object.__setattr__(self, "_variables", self._collect_variables())
+        object.__setattr__(self, "_hash", hash((head, self.body)))
         self._check_safety()
 
     def _collect_variables(self) -> frozenset[Variable]:
@@ -166,7 +170,7 @@ class Rule:
         return f"Rule({self.head!r}, {list(self.body)!r})"
 
     def __hash__(self) -> int:
-        return hash((self.head, self.body))
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rule):

@@ -21,6 +21,11 @@ Checks performed per seed:
 * **maintenance is exact** -- a DRed-maintained view equals
   recomputation after random insert/delete scripts.
 
+:func:`reference_minimize_program` and :func:`reference_scan_redundancy`
+are the Fig. 1/2 loops with nothing shared between containment tests
+(one fresh, full evaluation each): the oracle for the shared, goal-
+directed :class:`~repro.core.containment.ContainmentSession`.
+
 All generators take explicit seeds and are deterministic, so a failure
 report is sufficient to reproduce the bug.
 """
@@ -32,7 +37,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core.containment import uniformly_equivalent
-from .core.minimize import minimize_program
+from .core.minimize import (
+    AtomOrder,
+    AtomRemoval,
+    MinimizationResult,
+    RedundancyScan,
+    RedundantAtom,
+    RuleOrder,
+    RuleRemoval,
+    minimize_program,
+    natural_atom_order,
+    natural_rule_order,
+)
 from .core.optimizer import optimize
 from .data.database import Database
 from .engine.fixpoint import evaluate
@@ -43,7 +59,9 @@ from .engine.seminaive import seminaive_fixpoint
 from .engine.supplementary import answer_query_supplementary
 from .engine.topdown import tabled_query
 from .lang.atoms import Atom
+from .lang.freeze import freeze_rule
 from .lang.programs import Program
+from .lang.rules import Rule
 from .lang.terms import Variable
 from .workloads.programs import random_positive_program
 
@@ -227,3 +245,73 @@ def run_differential_suite(
             if error:
                 report.failures.append(Failure("maintenance", seed, error, tc_query_program))
     return report
+
+
+def fresh_containment_test(rule: Rule, container: Program) -> bool:
+    """Corollary 2 with nothing shared: ``hθ ∈ container(bθ)``, the whole
+    container evaluated to its fixpoint on a fresh canonical database."""
+    frozen = freeze_rule(rule)
+    return frozen.head in evaluate(container, Database(frozen.body)).database
+
+
+def reference_minimize_program(
+    program: Program,
+    atom_order: AtomOrder = natural_atom_order,
+    rule_order: RuleOrder = natural_rule_order,
+) -> MinimizationResult:
+    """Fig. 2 with one :func:`fresh_containment_test` per candidate: the
+    oracle ``minimize_program`` must agree with, removal for removal."""
+    result = MinimizationResult(original=program, program=program)
+    current = program
+    for rule in rule_order(program):
+        if rule not in current:
+            continue
+        # Each atom is tested against the program holding the rule's
+        # latest version; the whole program takes the final one.
+        context, live = current, rule
+        # Body positions of the original rule still present in *live*.
+        positions = list(range(len(rule.body)))
+        for original in atom_order(rule):
+            index = positions.index(original)
+            if not live.can_drop_body_literal(index):
+                continue
+            candidate = live.without_body_literal(index)
+            result.containment_tests += 1
+            if fresh_containment_test(candidate, context):
+                result.atom_removals.append(
+                    AtomRemoval(live, live.body[index].atom, candidate)
+                )
+                context = context.replace_rule(live, candidate)
+                live = candidate
+                del positions[index]
+        if live is not rule:
+            current = current.replace_rule(rule, live)
+    for rule in rule_order(current):
+        if rule not in current:
+            continue
+        reduced = current.without_rule(rule)
+        result.containment_tests += 1
+        if fresh_containment_test(rule, reduced):
+            result.rule_removals.append(RuleRemoval(rule))
+            current = reduced
+    result.program = current
+    return result
+
+
+def reference_scan_redundancy(program: Program) -> RedundancyScan:
+    """The read-only Fig. 1/2 scan with one :func:`fresh_containment_test`
+    per candidate: the oracle for ``scan_redundancy``."""
+    scan = RedundancyScan()
+    for rule in program.rules:
+        for index in range(len(rule.body)):
+            if not rule.can_drop_body_literal(index):
+                continue
+            candidate = rule.without_body_literal(index)
+            scan.containment_tests += 1
+            if fresh_containment_test(candidate, program):
+                scan.redundant_atoms.append(RedundantAtom(rule, index, candidate))
+    for rule in program.rules:
+        scan.containment_tests += 1
+        if fresh_containment_test(rule, program.without_rule(rule)):
+            scan.redundant_rules.append(rule)
+    return scan

@@ -322,12 +322,13 @@ class TestPlannerHints:
 
         program = parse_program(TC)
         db = Database.from_facts({"E": [(1, 2)]})
-        cache = KernelCache(program.rules, db, hint_provider=provider)
-        cache.kernel(0)  # body is E only; statistics cover it
+        base, step = program.rules
+        cache = KernelCache(db, hint_provider=provider)
+        cache.kernel(base)  # body is E only; statistics cover it
         assert not calls
-        cache.kernel(1)  # body mentions T, which the db has no facts of
+        cache.kernel(step)  # body mentions T, which the db has no facts of
         assert len(calls) == 1
-        cache.kernel(1, delta_position=0)  # hints memoised
+        cache.kernel(step, delta_position=0)  # hints memoised
         assert len(calls) == 1
 
     def test_hinted_plans_metric(self):
@@ -335,10 +336,8 @@ class TestPlannerHints:
         registry.reset()
         program = parse_program(TC)
         db = Database.from_facts({"E": [(1, 2)]})
-        cache = KernelCache(
-            program.rules, db, hint_provider=lambda: {"T": 7}
-        )
-        cache.kernel(1)
+        cache = KernelCache(db, hint_provider=lambda: {"T": 7})
+        cache.kernel(program.rules[1])
         assert registry.counters()["compile.hinted_plans"] == 1
 
 

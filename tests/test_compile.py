@@ -22,6 +22,7 @@ from repro.engine import (
     seminaive_fixpoint,
 )
 from repro.engine.joins import match_body, plan_order
+from repro.engine.seminaive import GoalRun
 from repro.engine.stats import EvaluationStats
 from repro.errors import UnsafeRuleError
 from repro.lang import Atom, Literal, Variable, parse_program, parse_rule
@@ -108,11 +109,33 @@ class TestKernelUnits:
     def test_kernel_cache_reuses_compiled_variants(self):
         db = Database.from_facts({"A": [(1, 2)]})
         rule = parse_rule("G(x, z) :- A(x, y), A(y, z).")
-        cache = KernelCache([rule], db)
-        first = cache.kernel(0, 0)
-        assert cache.kernel(0, 0) is first
-        assert cache.kernel(0, 1) is not first
+        cache = KernelCache(db)
+        first = cache.kernel(rule, 0)
+        assert cache.kernel(rule, 0) is first
+        assert cache.kernel(rule, 1) is not first
         assert len(cache) == 2
+
+    def test_one_cache_serves_two_programs_sharing_a_rule(self):
+        shared = parse_rule("G(x, z) :- G(x, y), G(y, z).")
+        first = Program.of(parse_rule("G(x, z) :- A(x, z)."), shared)
+        second = Program.of(parse_rule("G(x, z) :- B(x, z)."), shared)
+        facts = {"A": [(1, 2), (2, 3)], "B": [(3, 4), (4, 5)]}
+        cache = KernelCache()
+        registry = metrics_registry()
+
+        before = registry.counter("compile.kernels_built")
+        seminaive_fixpoint(first, Database.from_facts(facts), _goal=GoalRun(cache))
+        after_first = registry.counter("compile.kernels_built")
+        # The shared rule has two delta variants, the other rule one.
+        assert after_first - before == 3
+        result = seminaive_fixpoint(
+            second, Database.from_facts(facts), _goal=GoalRun(cache)
+        )
+        # Only the rule the programs do not share is compiled again.
+        assert registry.counter("compile.kernels_built") - after_first == 1
+        assert result.database == seminaive_fixpoint(
+            second, Database.from_facts(facts)
+        ).database
 
 
 class TestDeltaSplitting:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import paper, parse_program, parse_rule
+from repro import evaluate, paper, parse_program, parse_rule
 from repro.core.containment import (
     canonical_database,
     check_rule_containment,
@@ -13,8 +13,12 @@ from repro.core.containment import (
     uniformly_contains,
     uniformly_equivalent,
 )
+from repro.core.minimize import minimize_program
 from repro.lang import Program
 from repro.lang.terms import FrozenConstant
+from repro.obs.metrics import metrics_registry
+from repro.resilience import ResourceGovernor
+from repro.workloads import wide_rule
 
 
 class TestPaperExamples:
@@ -138,3 +142,63 @@ class TestConstantsInRules:
 
     def test_engine_parameter(self, tc):
         assert uniformly_contains(tc, paper.TC_LINEAR, engine="naive")
+
+
+class TestSessionEvidence:
+    """The boolean path stops early; the evidence path never does."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            # Round 1 commits the frozen head; the closure over the
+            # chain A(x,y), A(y,z), A(z,w) takes two more rounds.
+            "G(x, y) :- A(x, y), A(y, z), A(z, w).",
+            "G(x, z) :- A(x, y), A(y, z).",
+            "G(x, z) :- G(x, y), G(y, z).",
+        ],
+    )
+    def test_canonical_output_is_the_full_model_when_the_test_holds(self, tc, rule):
+        rule = parse_rule(rule)
+        witness = check_rule_containment(rule, tc)
+        assert witness.holds
+        full = evaluate(tc, canonical_database(rule)).database
+        assert witness.canonical_output == full.as_atom_set()
+
+    def test_boolean_path_stops_at_the_frozen_head(self, tc):
+        rule = parse_rule("G(x, y) :- A(x, y), A(y, z), A(z, w), A(w, v).")
+        registry = metrics_registry()
+        before = registry.counter("evaluation.facts_derived")
+        assert rule_uniformly_contained_in(rule, tc)
+        goal_directed = registry.counter("evaluation.facts_derived") - before
+        before = registry.counter("evaluation.facts_derived")
+        assert check_rule_containment(rule, tc).holds
+        complete = registry.counter("evaluation.facts_derived") - before
+        assert goal_directed < complete
+
+    def test_governed_minimize_trips_mid_session(self):
+        program = Program.of(
+            wide_rule(core_atoms=3, redundant_atoms=3, seed=11),
+            parse_rule("G(x, z) :- A(x, y), A(y, z)."),
+            parse_rule("G(x, z) :- G(x, y), G(y, z)."),
+        )
+        full = minimize_program(program)
+        assert full.containment_tests > 4
+        tripped = 0
+        for rounds in range(1, 3 * full.containment_tests):
+            result = minimize_program(
+                program, governor=ResourceGovernor(max_rounds=rounds)
+            )
+            if result.degradation is None:
+                assert result.program == full.program
+                continue
+            tripped += 1
+            # A tripped test is never read as "not contained": the run
+            # stops there, so its removals are a prefix of the full run's.
+            atoms = len(result.atom_removals)
+            assert result.atom_removals == full.atom_removals[:atoms]
+            if result.rule_removals:
+                assert atoms == len(full.atom_removals)
+                rules = len(result.rule_removals)
+                assert result.rule_removals == full.rule_removals[:rules]
+            assert uniformly_equivalent(program, result.program)
+        assert tripped > 1

@@ -8,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, evaluate, parse_program
 from repro.core.chase import chase
-from repro.core.containment import uniformly_contains, uniformly_equivalent
-from repro.core.minimize import minimize_program
+from repro.core.containment import (
+    rule_uniformly_contained_in,
+    uniformly_contains,
+    uniformly_equivalent,
+)
+from repro.core.minimize import minimize_program, scan_redundancy
 from repro.core.tgds import Tgd, satisfies_all
 from repro.engine import naive_fixpoint, seminaive_fixpoint
 from repro.lang import Atom, Program, Rule, Literal
 from repro.lang.substitution import Substitution, match_atom, unify_atoms
 from repro.lang.terms import Constant, Variable
+from repro.testing import reference_minimize_program, reference_scan_redundancy
 from repro.workloads import random_positive_program, wide_rule
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,85 @@ class TestMinimizationInvariants:
                 continue
             slimmer = Program.of(rule.without_body_literal(index))
             assert uniformly_contains(container=slimmer, contained=program)
+
+
+# ---------------------------------------------------------------------------
+# One containment session per call = one fresh evaluation per test
+# ---------------------------------------------------------------------------
+
+
+def _shuffled_orders(seed: int):
+    """Random but reproducible atom and rule consideration orders."""
+
+    def atom_order(rule):
+        return random.Random(f"{seed}:{rule}").sample(range(len(rule.body)), len(rule.body))
+
+    def rule_order(program):
+        return random.Random(seed).sample(program.rules, len(program.rules))
+
+    return atom_order, rule_order
+
+
+def _assert_session_matches_fresh(program, atom_order=None, rule_order=None):
+    orders = {}
+    if atom_order is not None:
+        orders = {"atom_order": atom_order, "rule_order": rule_order}
+    got = minimize_program(program, **orders)
+    want = reference_minimize_program(program, **orders)
+    assert str(got.program) == str(want.program)
+    assert got.atom_removals == want.atom_removals
+    assert got.rule_removals == want.rule_removals
+    assert got.containment_tests == want.containment_tests
+
+    scan, reference = scan_redundancy(program), reference_scan_redundancy(program)
+    assert scan.redundant_atoms == reference.redundant_atoms
+    assert scan.redundant_rules == reference.redundant_rules
+    assert scan.containment_tests == reference.containment_tests
+
+
+class TestSessionVerdictsEqualFreshVerdicts:
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        rules=st.integers(min_value=1, max_value=5),
+        max_body=st.integers(min_value=1, max_value=4),
+        variables=st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_programs_and_orders(self, seed, rules, max_body, variables):
+        program = random_positive_program(
+            rules=rules,
+            max_body=max_body,
+            predicates=2,
+            variables_per_rule=variables,
+            seed=seed,
+        )
+        _assert_session_matches_fresh(program, *_shuffled_orders(seed))
+
+    def test_rules_equal_up_to_renaming(self):
+        program = parse_program(
+            """
+            G(x, z) :- A(x, y), A(y, z), A(x, w).
+            G(u, v) :- A(u, t), A(t, v), A(u, s).
+            G(x, z) :- G(x, y), G(y, z).
+            """
+        )
+        _assert_session_matches_fresh(program)
+        _assert_session_matches_fresh(program, *_shuffled_orders(7))
+
+    def test_duplicate_rules_witness_each_other(self):
+        program = parse_program(
+            """
+            G(x, z) :- A(x, z).
+            G(u, v) :- A(u, v).
+            """
+        )
+        first, second = program.rules
+        scan = scan_redundancy(program)
+        assert scan.redundant_rules == [first, second]
+        assert rule_uniformly_contained_in(first, Program.of(second))
+        assert rule_uniformly_contained_in(second, Program.of(first))
+        assert len(minimize_program(program).program) == 1
+        _assert_session_matches_fresh(program)
 
 
 # ---------------------------------------------------------------------------
