@@ -31,7 +31,7 @@ from ..errors import TgdError
 from ..lang.atoms import Atom, Literal, atoms_variables
 from ..lang.rules import Rule
 from ..lang.substitution import Substitution
-from ..lang.terms import NullFactory, Term, Variable
+from ..lang.terms import NullFactory, Term, Variable, term_sort_key
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,15 @@ class Tgd:
         Violations are computed against the database state at the start
         of the round (their list is materialized first), matching the
         standard-chase convention that a round repairs the violations it
-        can see.
+        can see.  They are repaired in :func:`term_sort_key` order of θ
+        over the universal variables taken by name, so null labels and
+        counts never depend on set iteration order.
         """
-        pending = list(self.violations(db))
+        universal = sorted(self._universal, key=lambda v: v.name)
+        pending = sorted(
+            self.violations(db),
+            key=lambda theta: tuple(term_sort_key(theta[v]) for v in universal),
+        )
         added = 0
         for theta in pending:
             # Re-check: an earlier repair in this round may have

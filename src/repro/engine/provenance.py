@@ -77,30 +77,40 @@ def evaluate_with_provenance(program: Program, db: Database) -> ProvenanceResult
     while changed:
         stats.iterations += 1
         changed = False
-        pending: list[Justification] = []
+        pending: dict[Atom, Justification] = {}
         for rule in program.rules:
             if rule.is_fact:
-                head = rule.head
-                if head not in result and head not in (j.fact for j in pending):
-                    pending.append(Justification(head, rule, ()))
+                if rule.head not in result:
+                    pending.setdefault(rule.head, Justification(rule.head, rule, ()))
                 continue
+            # The first rule to derive a fact justifies it; among one
+            # rule's derivations the least premises win, so the proof
+            # does not depend on the order the database yields rows.
+            found: dict[Atom, tuple[Atom, ...]] = {}
             for bindings in match_body(result, rule.body, stats=stats):
                 stats.rule_firings += 1
                 head = rule.head.substitute(bindings)
-                if head in result or head in justifications:
+                if head in result or head in pending:
                     continue
                 premises = tuple(
                     lit.atom.substitute(bindings) for lit in rule.body
                 )
-                justifications[head] = Justification(head, rule, premises)
-                pending.append(justifications[head])
-        for justification in pending:
-            if result.add(justification.fact):
+                best = found.get(head)
+                if best is None or _premises_key(premises) < _premises_key(best):
+                    found[head] = premises
+            for head, premises in found.items():
+                pending[head] = Justification(head, rule, premises)
+        for fact, justification in pending.items():
+            if result.add(fact):
                 stats.facts_derived += 1
                 changed = True
-                justifications.setdefault(justification.fact, justification)
+                justifications[fact] = justification
     stats.stop()
     return ProvenanceResult(result, justifications, stats)
+
+
+def _premises_key(premises: tuple[Atom, ...]) -> tuple:
+    return tuple(atom.sort_key() for atom in premises)
 
 
 @dataclass(frozen=True)

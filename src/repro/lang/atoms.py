@@ -20,7 +20,8 @@ def coerce_term(value) -> Term:
     """Coerce a Python value to a :class:`Term`.
 
     ``int`` and ``str`` become :class:`Constant`; term instances pass
-    through unchanged.  Variables must be constructed explicitly (or via
+    through unchanged.  Anything else, ``bool`` included, raises
+    :class:`TypeError`.  Variables must be constructed explicitly (or via
     the :func:`repro.lang.variables` convenience helper) -- implicit
     string-to-variable coercion would be too error-prone.
     """

@@ -15,9 +15,15 @@ algorithms of the paper:
   using a dedicated type guarantees freshness by construction.  In the
   paper's notation a variable ``x`` is frozen to the constant ``x0``.
 
-All term types are immutable, hashable and totally ordered within their
-own kind, so they can be used in sets, as dictionary keys, and sorted
-for deterministic output.
+Terms are hash-consed.  Each class keeps one canonical instance per
+value, so two terms are equal exactly when they are the same object --
+the paper's terms are atomic symbols -- and hashing and equality are
+``object``'s identity slots, which run in C.  Pickle, :mod:`copy` and
+:func:`dataclasses.replace` go back through the constructor and return
+the canonical instance.  The tables are never cleared: clearing one
+would let two equal terms that are not identical exist at once.  Terms
+have no ``<``; :func:`term_sort_key` is the total order used for
+deterministic output.
 """
 
 from __future__ import annotations
@@ -25,8 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+# The canonical instance of every term ever built, one table per kind.
+_VARIABLES: dict = {}
+_CONSTANTS: dict = {}
+_NULLS: dict = {}
+_FROZEN: dict = {}
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Variable:
     """A Datalog variable, e.g. ``x`` in ``G(x, z)``.
 
@@ -35,6 +47,17 @@ class Variable:
     """
 
     name: str
+
+    def __new__(cls, name: str) -> "Variable":
+        term = _VARIABLES.get(name)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            term = _VARIABLES.setdefault(name, term)
+        return term
+
+    def __reduce__(self):
+        return (Variable, (self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -47,15 +70,31 @@ class Variable:
         return False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Constant:
     """A Datalog constant.
 
     The paper assumes constants are integers; for usability this library
-    also accepts strings (written single-quoted in source text).
+    also accepts strings (written single-quoted in source text).  Any
+    other value, ``bool`` included, raises :class:`TypeError`: ``True``
+    would otherwise be the same constant as ``1``.
     """
 
     value: Union[int, str]
+
+    def __new__(cls, value: Union[int, str]) -> "Constant":
+        kind = type(value)
+        if kind is not int and kind is not str:
+            value = _constant_value(value)
+        term = _CONSTANTS.get(value)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "value", value)
+            term = _CONSTANTS.setdefault(value, term)
+        return term
+
+    def __reduce__(self):
+        return (Constant, (self.value,))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -70,7 +109,7 @@ class Constant:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Null:
     """A labelled null: an unknown value introduced by an embedded tgd.
 
@@ -81,6 +120,17 @@ class Null:
     """
 
     ident: int
+
+    def __new__(cls, ident: int) -> "Null":
+        term = _NULLS.get(ident)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "ident", ident)
+            term = _NULLS.setdefault(ident, term)
+        return term
+
+    def __reduce__(self):
+        return (Null, (self.ident,))
 
     def __str__(self) -> str:
         return f"@{self.ident}"
@@ -93,7 +143,7 @@ class Null:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class FrozenConstant:
     """A fresh constant standing for a frozen variable (Section VI).
 
@@ -105,6 +155,19 @@ class FrozenConstant:
 
     name: str
     serial: int = 0
+
+    def __new__(cls, name: str, serial: int = 0) -> "FrozenConstant":
+        key = (name, serial)
+        term = _FROZEN.get(key)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            object.__setattr__(term, "serial", serial)
+            term = _FROZEN.setdefault(key, term)
+        return term
+
+    def __reduce__(self):
+        return (FrozenConstant, (self.name, self.serial))
 
     def __str__(self) -> str:
         if self.serial == 0:
@@ -126,6 +189,15 @@ Term = Union[Variable, Constant, Null, FrozenConstant]
 GroundTerm = Union[Constant, Null, FrozenConstant]
 
 _SORT_RANK = {Constant: 0, Null: 1, FrozenConstant: 2, Variable: 3}
+
+
+def _constant_value(value) -> Union[int, str]:
+    """*value* as a plain ``int`` or ``str``; ``TypeError`` for anything else."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str):
+        return str(value)
+    raise TypeError(f"a constant is an int or a str, not {type(value).__name__}: {value!r}")
 
 
 def is_ground_term(term: Term) -> bool:

@@ -47,6 +47,15 @@ class TestEvaluation:
             for premise in justification.premises:
                 assert premise in result.database
 
+    def test_least_premises_justify_a_fact(self, tc):
+        # G(0, 9) has four derivations in one round; the recorded one
+        # must not depend on the order the database yields rows.
+        middle = (7, 5, 3, 1)
+        edb = Database.from_facts({"A": [(0, m) for m in middle] + [(m, 9) for m in middle]})
+        result = evaluate_with_provenance(tc, edb)
+        justification = result.justifications[Atom.of("G", 0, 9)]
+        assert justification.premises == (Atom.of("G", 0, 1), Atom.of("G", 1, 9))
+
     def test_fact_rules_justified(self):
         program = parse_program(
             """

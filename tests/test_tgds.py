@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Database, paper, parse_program, parse_tgd
 from repro.core.tgds import Tgd, first_violation, satisfies_all
 from repro.engine import evaluate
@@ -158,3 +165,42 @@ class TestApplication:
         assert tgd.exhibits_violation(db, theta)
         theta5 = Substitution({x: Constant(5), y: Constant(2)})
         assert not tgd.exhibits_violation(db, theta5)
+
+    def test_repairs_in_term_order(self):
+        # Triggers are repaired in term_sort_key order of θ over the
+        # universal variables by name, so null labels follow the data.
+        tgd = parse_tgd("E(x, y) -> F(y, z)")
+        db = Database.from_facts({"E": [("c", "a"), ("a", "b"), ("b", "c")]})
+        tgd.apply_all_once(db, NullFactory())
+        labels = {row[0].value: row[1].ident for row in db.tuples("F")}
+        assert labels == {"b": 1, "c": 2, "a": 3}
+
+
+_CHASE_SCRIPT = """
+from repro import Database, chase, parse_tgds
+from repro.lang.atoms import Atom
+from repro.lang.pretty import format_database
+
+names = "abcdefg"
+db = Database([Atom.of("E", a, b) for a, b in zip(names, names[1:] + names[:1])])
+tgds = parse_tgds("E(x, y) -> F(y, z). F(y, z) -> H(z, w).")
+print(format_database(chase(db, None, list(tgds)).database))
+"""
+
+
+def test_chase_output_does_not_depend_on_hash_order():
+    """Null labels and counts are the same whatever order sets iterate in:
+    three processes with different string-hash seeds (and term
+    addresses) print byte-identical databases."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _CHASE_SCRIPT], env=env, capture_output=True, check=True
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    (text,) = outputs
+    assert len(set(re.findall(rb"@\d+", text))) == 14
