@@ -106,9 +106,10 @@ class ColumnarRelation:
 
     * ``columns`` -- per-position ``array('q')`` append-order logs.
       Appends are O(arity); :meth:`discard` leaves the logged values in
-      place (stale) and :meth:`copy` compacts them away.  The logs back
-      the honest byte model (:meth:`approximate_bytes`) and cheap
-      slice-copies of grow-only relations.
+      place (stale) and :meth:`copy` compacts them away, as does
+      :meth:`discard_all` once stale entries outnumber live rows.  The
+      logs back the honest byte model (:meth:`approximate_bytes`) and
+      cheap slice-copies of grow-only relations.
     * ``rows`` -- the authoritative live set of int tuples.  Membership,
       iteration, and equality all read it.
     * index **views** -- lazily built ``int -> {rows}`` maps per single
@@ -199,6 +200,37 @@ class ColumnarRelation:
                 bucket.discard(row)
         return True
 
+    def discard_all(self, rows) -> int:
+        """Bulk :meth:`discard` of int rows; returns how many were live.
+
+        One set intersection, one ``-=`` and one pass per built view.
+        Once stale log entries outnumber live rows the logs are
+        compacted, so a relation that keeps losing and regaining rows
+        (a maintained view) does not grow its logs without bound.
+        """
+        gone = self.rows.intersection(rows)
+        self.rows -= gone
+        for pos, view in self._views.items():
+            for row in gone:
+                bucket = view.get(row[pos])
+                if bucket is not None:
+                    bucket.discard(row)
+        for positions, view in self._composites.items():
+            for row in gone:
+                bucket = view.get(tuple(row[p] for p in positions))
+                if bucket is not None:
+                    bucket.discard(row)
+        if self.appended > 2 * len(self.rows):
+            self._compact()
+        return len(gone)
+
+    def _compact(self) -> None:
+        """Rebuild the column logs from the live rows (drops stale ones)."""
+        self.columns = tuple(array("q") for _ in range(self.arity))
+        for column, values in zip(self.columns, zip(*self.rows)):
+            column.extend(values)
+        self.appended = len(self.rows)
+
     # -- index views -----------------------------------------------------------
     def bucket(self, position: int, value: int) -> set:
         """Live rows holding *value* at *position* (view built lazily)."""
@@ -251,12 +283,10 @@ class ColumnarRelation:
         if self.appended == len(self.rows):
             # Grow-only: the logs are exactly the live rows; slice-copy.
             new.columns = tuple(array("q", column) for column in self.columns)
+            new.appended = len(new.rows)
         else:
             # Discards happened: rebuild the logs from the live set.
-            for row in new.rows:
-                for column, value in zip(new.columns, row):
-                    column.append(value)
-        new.appended = len(new.rows)
+            new._compact()
         return new
 
     def approximate_bytes(self) -> int:
@@ -366,12 +396,25 @@ class ColumnarDatabase(Database):
         return False
 
     def _union_rows(self, predicate: str, rows: ColumnarRelation) -> int:
+        return self._insert_rows(predicate, rows.rows)
+
+    def _insert_rows(self, predicate: str, rows) -> int:
         rel = self._relations.get(predicate)
         if rel is None:
-            rel = self._relations[predicate] = ColumnarRelation(rows.arity)
-        added = rel.extend(rows.rows)
+            rel = self._relations[predicate] = ColumnarRelation(
+                self._arities[predicate]
+            )
+        added = rel.extend(rows)
         self._size += added
         return added
+
+    def _remove_rows(self, predicate: str, rows) -> int:
+        rel = self._relations.get(predicate)
+        if rel is None:
+            return 0
+        removed = rel.discard_all(rows)
+        self._size -= removed
+        return removed
 
     def discard(self, atom: Atom) -> bool:
         rel = self._relations.get(atom.predicate)

@@ -43,6 +43,11 @@ class Database:
     :meth:`_union_rows`, the bulk form of ``_add_row`` behind
     :meth:`update`, so any new storage entry point added here must
     either route through them or be mirrored in the harness.
+
+    :meth:`_insert_rows` and :meth:`_remove_rows` are the raw bulk
+    primitives *below* the seams: no harness intercepts them, so
+    incremental maintenance's undo log writes through them and a
+    rollback cannot itself be faulted.
     """
 
     __slots__ = ("_relations", "_arities", "_indexes", "_size", "_scans")
@@ -193,8 +198,9 @@ class Database:
     def discard(self, atom: Atom) -> bool:
         """Remove a ground atom; return ``True`` iff it was present.
 
-        Built indexes are maintained.  Used by incremental view
-        maintenance; most other code treats databases as grow-only.
+        Built indexes are maintained.  Incremental view maintenance
+        removes in bulk (:meth:`subtract`); most other code treats
+        databases as grow-only.
         """
         rows = self._relations.get(atom.predicate)
         if rows is None or atom.args not in rows:
@@ -205,10 +211,6 @@ class Database:
         if index is not None:
             index.remove(atom.args)
         return True
-
-    def discard_all(self, atoms: Iterable[Atom]) -> int:
-        """Remove many atoms; return how many were present."""
-        return sum(1 for atom in atoms if self.discard(atom))
 
     def update(self, other: "Database") -> int:
         """Union-in another database; return the number of new atoms.
@@ -233,9 +235,31 @@ class Database:
                 added += self._union_rows(pred, rows)
         return added
 
+    def subtract(self, other: "Database") -> int:
+        """Remove another database's atoms; return how many were present.
+
+        The bulk twin of :meth:`discard`, mirroring :meth:`update`:
+        between two databases of one backend it is one set intersection
+        and one ``-=`` per predicate, and built indexes are maintained in
+        place rather than rebuilt; across backends the atoms are decoded
+        and discarded one by one.
+        """
+        if other.backend != self.backend:
+            return sum(1 for atom in other.atoms() if self.discard(atom))
+        return sum(
+            self._remove_rows(pred, rows)
+            for pred, rows in other._relations.items()
+            if rows
+        )
+
     def _union_rows(self, predicate: str, rows) -> int:
         """Bulk ``_add_row`` of another same-backend database's *rows* (of
         the arity already recorded); returns how many were new."""
+        return self._insert_rows(predicate, rows)
+
+    def _insert_rows(self, predicate: str, rows) -> int:
+        """Add a set of storage rows of the recorded arity; returns how
+        many were new.  Below the seams (see the class docstring)."""
         relation = self._relations.setdefault(predicate, set())
         fresh = rows - relation
         relation |= fresh
@@ -245,6 +269,21 @@ class Database:
             for row in fresh:
                 index.insert(row)
         return len(fresh)
+
+    def _remove_rows(self, predicate: str, rows) -> int:
+        """Remove an iterable of storage rows; returns how many were
+        present.  Below the seams (see the class docstring)."""
+        relation = self._relations.get(predicate)
+        if not relation:
+            return 0
+        gone = relation.intersection(rows)
+        relation -= gone
+        self._size -= len(gone)
+        index = self._indexes.get(predicate)
+        if index is not None:
+            for row in gone:
+                index.remove(row)
+        return len(gone)
 
     # -- queries ---------------------------------------------------------------------
     def __contains__(self, atom: Atom) -> bool:

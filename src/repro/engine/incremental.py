@@ -3,26 +3,39 @@
 A database system that materializes a program's IDB must maintain it as
 the EDB changes.  Insertions are easy -- semi-naive evaluation seeded
 with the new facts.  Deletions are the classic hard case, solved by
-Gupta--Mumick--Subrahmanian's *delete-and-rederive* (DRed):
+Gupta--Mumick--Subrahmanian's *delete-and-rederive* (DRed), done here
+on the live view in three steps:
 
-1. **over-delete**: remove every fact with *some* derivation using a
-   deleted fact (computed as a delta fixpoint over the rules);
-2. **rederive**: re-prove over-deleted facts that still have an
-   alternative derivation from the surviving database;
-3. the net deletions are the over-deleted facts that failed step 2.
+1. **over-delete**: find every fact with *some* derivation using a
+   deleted fact (a delta fixpoint of the rules' join kernels) and remove
+   those rows from the view in place -- index views already built on
+   it stay built;
+2. **rederive**: for each rule ``h :- b1, ..., bn``, run the kernel of
+   its guarded twin ``h :- h, b1, ..., bn`` once, with Δ = the
+   over-deleted facts pinned at the guard and the surviving view
+   everywhere else.  The guard binds every head variable, so the body
+   is a memoised existence check, and the output is exactly the
+   over-deleted facts derivable in one step;
+3. **propagate**: add those facts and run the semi-naive loop an
+   insertion runs.  The EDB only shrank, so everything it adds was
+   over-deleted; the net deletions are the over-deleted facts it does
+   not bring back.
 
 :class:`MaterializedView` wraps a program plus its computed database
 and offers ``insert`` / ``delete`` with counters, asserting nothing
 about negation (positive programs only -- the stratified extension
 would maintain per-stratum, which is out of scope here).
 
-Resource governance is **transactional** here, not degrading: an
-interrupted over-delete has removed facts that a completed rederive
-step would have restored, so a partial maintenance state is *not* a
-sound under-approximation of anything.  When a governed operation trips
-a limit, the view rolls back to its pre-operation state and the
-:class:`~repro.errors.ResourceLimitExceeded` propagates -- the one
-engine where ``PARTIAL`` would be a lie.
+Every operation is a **transaction**.  It logs each bulk change it makes
+to the view or the base (rows added, rows removed) before making it,
+and on *any* exception -- an injected storage fault, a tripped resource
+governor, an interrupt -- replays the log backwards through the storage
+primitives below the fault seams, then re-raises.  An interrupted
+over-delete has removed facts that a completed rederive step would have
+restored, so a partial maintenance state is *not* a sound
+under-approximation of anything: this is the one engine where
+``PARTIAL`` would be a lie.  Nothing is copied to make the rollback
+possible.
 
 Protected facts: facts present in the *base* (given) database are never
 deleted by maintenance unless explicitly deleted themselves, matching
@@ -32,17 +45,19 @@ input.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..data.database import Database
-from ..errors import GroundnessError, ResourceLimitExceeded, UnsafeRuleError
+from ..errors import GroundnessError, UnsafeRuleError
 from ..lang.atoms import Atom
 from ..lang.programs import Program
+from ..lang.rules import Rule
 from ..lang.terms import Variable
 from ..obs.tracer import trace
 from ..resilience.governor import ResourceGovernor
 from .compile import KernelCache
-from .joins import body_witness, delta_variant_positions, fire_rule, plan_order
+from .joins import delta_variant_positions, fire_rule
 from .stats import EvaluationStats
 
 
@@ -54,6 +69,36 @@ class MaintenanceStats:
     deleted: int = 0
     overdeleted: int = 0
     rederived: int = 0
+
+
+def _delta_variants(rule: Rule) -> tuple[tuple[int, frozenset[int]], ...]:
+    """``(body position, private argument positions)`` per delta variant.
+
+    The positions are :func:`~repro.engine.joins.delta_variant_positions`
+    (symmetric redundant-atom positions collapse to the first).  A
+    private argument position of the pinned literal holds a variable
+    that occurs nowhere else in the rule: delta rows differing only there
+    drive identical joins, so :meth:`MaterializedView._fire` projects the
+    delta down to one representative per distinct rest.
+    """
+    if rule.is_fact:
+        return ()
+    counts: dict = {}
+    for atom in (rule.head, *(lit.atom for lit in rule.body)):
+        for term in atom.args:
+            if isinstance(term, Variable):
+                counts[term] = counts.get(term, 0) + 1
+    return tuple(
+        (
+            position,
+            frozenset(
+                pos
+                for pos, term in enumerate(rule.body[position].atom.args)
+                if isinstance(term, Variable) and counts[term] == 1
+            ),
+        )
+        for position in delta_variant_positions(rule.head, rule.body)
+    )
 
 
 class MaterializedView:
@@ -84,44 +129,26 @@ class MaterializedView:
         self._kernels = (
             KernelCache(self._materialized) if use_compiled else None
         )
-        # Join orders for goal-directed rederivation, cached per
-        # (head predicate, rule): the initially-bound set (the head
-        # variables) never varies, so the plan is stable across
-        # delete operations.
-        self._rederive_plans: dict[tuple[str, int], list[int]] = {}
-        # Per rule: body positions needing their own delta variant
-        # (symmetric redundant-atom positions collapse to the first).
-        self._variant_positions = [
-            () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
+        self._variants = [_delta_variants(rule) for rule in program.rules]
+        # Per rule, the guarded twin rederivation runs (None for a fact).
+        self._guarded = [
+            None if rule.is_fact else Rule(rule.head, (rule.head, *rule.body))
             for rule in program.rules
         ]
-        # Per (rule, position): argument positions of the pinned literal
-        # holding a variable that occurs nowhere else in the rule.  Delta
-        # rows differing only there drive identical variant joins, so
-        # :meth:`_fire_variant` projects the delta down to one
-        # representative per distinct non-private prefix.
-        self._private_positions: dict[tuple[int, int], frozenset[int]] = {}
-        for rule_index, rule in enumerate(program.rules):
-            if rule.is_fact:
-                continue
-            counts: dict = {}
-            for atom in (rule.head, *(lit.atom for lit in rule.body)):
-                for term in atom.args:
-                    if isinstance(term, Variable):
-                        counts[term] = counts.get(term, 0) + 1
-            for position in self._variant_positions[rule_index]:
-                private = frozenset(
-                    pos
-                    for pos, term in enumerate(rule.body[position].atom.args)
-                    if isinstance(term, Variable) and counts[term] == 1
-                )
-                if private:
-                    self._private_positions[(rule_index, position)] = private
+        #: The running operation's changes, in the order they were made:
+        #: ``(database, change, added)`` (see :meth:`_transaction`).
+        self._undo: list[tuple[Database, Database, bool]] = []
 
     # -- read access ---------------------------------------------------------
     @property
     def database(self) -> Database:
-        """The maintained output (do not mutate; use insert/delete)."""
+        """The maintained output.
+
+        The same object for the view's whole life: maintenance changes
+        it in place, so a reference taken once stays current, and the
+        index views built on it survive every operation.  Do not mutate
+        it; use insert/delete.
+        """
         return self._materialized
 
     def __contains__(self, atom: Atom) -> bool:
@@ -138,55 +165,30 @@ class MaterializedView:
     def insert_all(self, atoms) -> MaintenanceStats:
         """Add several given facts; one semi-naive propagation pass.
 
-        Governed runs are transactional: on a tripped limit the view
-        rolls back and :class:`ResourceLimitExceeded` propagates.
+        Transactional: on any exception the view and the base are put
+        back as they were and the exception propagates.
         """
         stats = MaintenanceStats()
-        snapshot = self._snapshot()
-        try:
-            with trace("incremental.insert") as span:
-                governor = self.governor
-                if governor is not None:
-                    governor.note(engine="incremental")
-                delta = self._materialized.empty_like()
-                for atom in atoms:
-                    if not atom.is_ground:
-                        raise GroundnessError(f"cannot insert non-ground atom {atom}")
-                    self._base.add(atom)
-                    if self._materialized.add(atom):
+        view = self._materialized
+        with self._transaction(), trace("incremental.insert") as span:
+            if self.governor is not None:
+                self.governor.note(engine="incremental")
+            fresh = view.empty_like()  # new to the base
+            delta = view.empty_like()  # new to the view
+            for atom in atoms:
+                if not atom.is_ground:
+                    raise GroundnessError(f"cannot insert non-ground atom {atom}")
+                if atom not in self._base:
+                    fresh.add(atom)
+                    if atom not in view:
                         delta.add(atom)
-                        stats.inserted += 1
-                work = EvaluationStats()
-                span.watch(work)
-                rounds = 0
-                while delta:
-                    rounds += 1
-                    if governor is not None:
-                        governor.checkpoint(self._materialized, round=rounds)
-                    new_delta = self._materialized.empty_like()
-                    for rule_index, rule in enumerate(self.program.rules):
-                        if rule.is_fact:
-                            continue
-                        for position in self._variant_positions[rule_index]:
-                            if delta.count(rule.body[position].predicate) == 0:
-                                continue
-                            derived = self._fire_variant(
-                                rule_index, rule, position, delta, work, governor
-                            )
-                            head = rule.head.predicate
-                            for row in derived:
-                                if not self._materialized.contains_tuple(head, row):
-                                    new_delta._add_row(head, row)
-                    added = self._materialized.update(new_delta)
-                    stats.inserted += added
-                    if governor is not None:
-                        governor.add_facts(added)
-                    delta = new_delta
-                if span:
-                    span.add("inserted", stats.inserted)
-        except ResourceLimitExceeded:
-            self._rollback(snapshot)
-            raise
+            self._change(self._base, fresh, added=True)
+            stats.inserted = self._change(view, delta, added=True)
+            work = EvaluationStats()
+            span.watch(work)
+            stats.inserted += self._propagate(delta, work)
+            if span:
+                span.add("inserted", stats.inserted)
         return stats
 
     # -- deletions -----------------------------------------------------------
@@ -195,70 +197,134 @@ class MaterializedView:
         return self.delete_all([atom])
 
     def delete_all(self, atoms) -> MaintenanceStats:
-        """Remove several given facts (delete-and-rederive).
+        """Remove several given facts (delete-and-rederive, in place).
 
-        An interrupted over-delete/rederive would leave the view
-        unsound (over-deleted facts not yet re-proven), so a governed
-        trip rolls back the whole operation and re-raises.
+        Transactional like :meth:`insert_all`: an interrupted
+        over-delete or rederive would leave the view unsound, so any
+        exception restores the view and the base before it propagates.
         """
         stats = MaintenanceStats()
-        snapshot = self._snapshot()
-        try:
-            with trace("incremental.delete") as span:
-                if self.governor is not None:
-                    self.governor.note(engine="incremental")
-                seed = self._materialized.empty_like()
-                for atom in atoms:
-                    if self._base.discard(atom):
-                        seed.add(atom)
-                if not seed:
-                    return stats
+        view = self._materialized
+        with self._transaction(), trace("incremental.delete") as span:
+            if self.governor is not None:
+                self.governor.note(engine="incremental")
+            seed = view.empty_like()
+            for atom in atoms:
+                if atom in self._base:
+                    seed.add(atom)
+            if not seed:
+                return stats
+            self._change(self._base, seed, added=False)
+            work = EvaluationStats()
+            span.watch(work)
 
-                # Step 1: over-delete everything with a derivation through a
-                # deleted fact.
-                with trace("incremental.overdelete"):
-                    overdeleted = self._overdelete(seed)
-                stats.overdeleted = len(overdeleted)
+            # Step 1: over-delete everything with a derivation through a
+            # deleted fact.
+            with trace("incremental.overdelete"):
+                overdeleted = self._overdelete(seed, work)
+                stats.overdeleted = self._change(view, overdeleted, added=False)
 
-                survivor = self._materialized.copy()
-                survivor.discard_all(overdeleted.atoms())
+            # Steps 2-3: rederive from the surviving view, which still
+            # holds every protected base fact, then propagate.
+            with trace("incremental.rederive"):
+                rederived = self._rederive(overdeleted, work)
+                stats.rederived = self._change(view, rederived, added=True)
+                stats.rederived += self._propagate(rederived, work)
 
-                # Step 2: rederive from the surviving database plus the
-                # protected base facts that were not themselves deleted.
-                with trace("incremental.rederive"):
-                    rederived = self._rederive(overdeleted, survivor)
-                stats.rederived = len(rederived)
-
-                stats.deleted = len(overdeleted) - len(rederived)
-                self._materialized = survivor
-                self._materialized.update(rederived)
-                if span:
-                    span.add("overdeleted", stats.overdeleted)
-                    span.add("rederived", stats.rederived)
-                    span.add("deleted", stats.deleted)
-        except ResourceLimitExceeded:
-            self._rollback(snapshot)
-            raise
+            stats.deleted = stats.overdeleted - stats.rederived
+            if span:
+                span.add("overdeleted", stats.overdeleted)
+                span.add("rederived", stats.rederived)
+                span.add("deleted", stats.deleted)
         return stats
 
-    def _fire_variant(
+    # -- the three steps -----------------------------------------------------
+    def _overdelete(self, seed: Database, work: EvaluationStats) -> Database:
+        """Facts with some derivation using a seed fact (incl. the seed)."""
+        overdeleted = seed.copy()
+        delta = seed
+        while delta:
+            if self.governor is not None:
+                self.governor.checkpoint(self._materialized)
+            new_delta = self._materialized.empty_like()
+            for head, rows in self._consequences(delta, work):
+                for row in rows:
+                    # Base facts not explicitly deleted are protected.
+                    if self._base.contains_tuple(head, row):
+                        continue
+                    if not overdeleted.contains_tuple(head, row):
+                        new_delta._add_row(head, row)
+            overdeleted.update(new_delta)
+            delta = new_delta
+        return overdeleted
+
+    def _rederive(self, overdeleted: Database, work: EvaluationStats) -> Database:
+        """The over-deleted facts derivable in one step from the view.
+
+        One run per rule, of its guarded twin pinned at the guard:
+        Δ = *overdeleted* binds the head, and the body is checked against
+        the view, which no longer holds *overdeleted*.
+        """
+        rederived = self._materialized.empty_like()
+        for rule, guarded in zip(self.program.rules, self._guarded):
+            head = rule.head.predicate
+            if guarded is None:
+                # A fact rule re-proves its head unconditionally.
+                if rule.head in overdeleted:
+                    rederived.add(rule.head)
+            elif overdeleted.count(head):
+                for row in self._fire(guarded, 0, overdeleted, work):
+                    rederived._add_row(head, row)
+        return rederived
+
+    def _propagate(self, delta: Database, work: EvaluationStats) -> int:
+        """Semi-naive closure of the view from *delta*, which it already
+        holds; returns how many facts were added."""
+        view = self._materialized
+        governor = self.governor
+        added = rounds = 0
+        while delta:
+            rounds += 1
+            if governor is not None:
+                governor.checkpoint(view, round=rounds)
+            new_delta = view.empty_like()
+            for head, rows in self._consequences(delta, work):
+                for row in rows:
+                    if not view.contains_tuple(head, row):
+                        new_delta._add_row(head, row)
+            count = self._change(view, new_delta, added=True)
+            added += count
+            if governor is not None:
+                governor.add_facts(count)
+            delta = new_delta
+        return added
+
+    # -- joins ---------------------------------------------------------------
+    def _consequences(self, delta: Database, work: EvaluationStats):
+        """``(head predicate, rows)`` of every delta variant Δ reaches."""
+        for rule, variants in zip(self.program.rules, self._variants):
+            for position, private in variants:
+                if delta.count(rule.body[position].predicate):
+                    rows = self._fire(rule, position, delta, work, private)
+                    yield rule.head.predicate, rows
+
+    def _fire(
         self,
-        rule_index: int,
-        rule,
+        rule: Rule,
         position: int,
         delta: Database,
         work: EvaluationStats,
-        governor: ResourceGovernor | None,
+        private: frozenset[int] = frozenset(),
     ) -> set[tuple]:
-        """One delta-variant against the materialized database, as head rows."""
-        private = self._private_positions.get((rule_index, position))
-        if private is not None:
+        """Head rows of *rule* with *delta* pinned at body *position* and
+        the view read everywhere else."""
+        if private:
             delta = self._project_delta(
                 delta, rule.body[position].predicate, private
             )
         if self._kernels is not None:
             return self._kernels.kernel(rule, position).run(
-                self._materialized, delta=delta, stats=work, governor=governor
+                self._materialized, delta=delta, stats=work, governor=self.governor
             )
         return {
             atom.args
@@ -268,7 +334,7 @@ class MaterializedView:
                 rule.body,
                 stats=work,
                 source_for={position: delta},
-                governor=governor,
+                governor=self.governor,
             )
         }
 
@@ -296,130 +362,34 @@ class MaterializedView:
             reduced._add_row(predicate, row)
         return reduced
 
-    # -- governed-transaction helpers ----------------------------------------
-    def _snapshot(self):
-        """Pre-operation state, captured only when a governor is active."""
-        if self.governor is None:
-            return None
-        return (self._base.copy(), self._materialized.copy())
+    # -- transactions --------------------------------------------------------
+    def _change(self, db: Database, change: Database, added: bool) -> int:
+        """Log, then apply, one bulk change to *db* (*change* must not be
+        mutated afterwards); returns how many rows it added or removed."""
+        self._undo.append((db, change, added))
+        return db.update(change) if added else db.subtract(change)
 
-    def _rollback(self, snapshot) -> None:
-        if snapshot is not None:
-            self._base, self._materialized = snapshot
+    @contextmanager
+    def _transaction(self):
+        """Run one operation; on any exception undo its logged changes.
 
-    def _overdelete(self, seed: Database) -> Database:
-        """Facts with some derivation using a seed fact (incl. the seed)."""
-        overdeleted = seed.copy()
-        delta = seed.copy()
-        work = EvaluationStats()
-        while delta:
-            if self.governor is not None:
-                self.governor.checkpoint(self._materialized)
-            new_delta = self._materialized.empty_like()
-            for rule_index, rule in enumerate(self.program.rules):
-                if rule.is_fact:
-                    continue
-                for position in self._variant_positions[rule_index]:
-                    if delta.count(rule.body[position].predicate) == 0:
-                        continue
-                    derived = self._fire_variant(
-                        rule_index, rule, position, delta, work, self.governor
-                    )
-                    head = rule.head.predicate
-                    for row in derived:
-                        # Base facts not explicitly deleted are protected.
-                        if self._base.contains_tuple(head, row):
-                            continue
-                        if not overdeleted.contains_tuple(head, row):
-                            new_delta._add_row(head, row)
-            overdeleted.update(new_delta)
-            delta = new_delta
-        return overdeleted
-
-    def _rederive(self, overdeleted: Database, survivor: Database) -> Database:
-        """Over-deleted facts still derivable from the survivors.
-
-        Goal-directed: each over-deleted fact is unified with the heads
-        of its predicate's rules and the body is probed with the head
-        bindings pre-seeded -- a bound existence check, not a full join
-        of every rule body against the whole database.  Rederived facts
-        re-enter ``current``, and the pass loop repeats so facts whose
-        alternative derivations go through other over-deleted facts are
-        restored in dependency order.
+        Every logged ``added`` row was absent before the operation and
+        every removed one present, so undoing a change that was only
+        partly applied is still exact.  The undo writes through
+        ``_insert_rows`` / ``_remove_rows``, which no fault harness
+        intercepts, so the rollback itself cannot fault.
         """
-        rederived = self._materialized.empty_like()
-        work = EvaluationStats()
-        current = survivor.copy()
-        # Fact rules are unconditionally derivable; restore them up front.
-        for rule in self.program.rules:
-            if rule.is_fact and rule.head in overdeleted and rule.head not in rederived:
-                rederived.add(rule.head)
-                current.add(rule.head)
-        pending = [
-            (pred, row)
-            for pred in sorted(overdeleted.predicates)
-            for row in overdeleted.tuples(pred)
-            if not rederived.contains_tuple(pred, row)
-        ]
-        changed = True
-        while changed and pending:
-            if self.governor is not None:
-                self.governor.checkpoint(current)
-            changed = False
-            still: list[tuple[str, tuple]] = []
-            for pred, row in pending:
-                if self._rederivable(pred, row, current, work):
-                    rederived._add_row(pred, row)
-                    current._add_row(pred, row)
-                    changed = True
-                else:
-                    still.append((pred, row))
-            pending = still
-        return rederived
-
-    def _rederivable(
-        self, predicate: str, row: tuple, current: Database, work: EvaluationStats
-    ) -> bool:
-        """Does some rule derive *row* from *current*?
-
-        *row* is in ``current``'s storage representation (it came out of
-        a database sharing the same backend), so head constants are
-        compared through ``store_term`` and the seeded bindings probe
-        indexes directly.  With every head variable bound up front the
-        body walk is a pure existence check
-        (:func:`~repro.engine.joins.body_witness`) that stops at the
-        first witness.
-        """
-        store = current.store_term
-        for rule_index, rule in enumerate(self.program.rules_for(predicate)):
-            if rule.is_fact:
-                continue
-            bindings: dict = {}
-            consistent = True
-            for position, term in enumerate(rule.head.args):
-                value = row[position]
-                if isinstance(term, Variable):
-                    existing = bindings.get(term)
-                    if existing is None:
-                        bindings[term] = value
-                    elif existing != value:
-                        consistent = False
-                        break
-                elif store(term) != value:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            if self.governor is not None:
-                self.governor.tick()
-            bound_vars = frozenset(bindings)
-            plan_key = (predicate, rule_index)
-            order = self._rederive_plans.get(plan_key)
-            if order is None:
-                order = plan_order(
-                    rule.body, current, bound_vars, prefer_vars=bound_vars
-                )
-                self._rederive_plans[plan_key] = order
-            if body_witness(current, rule.body, bindings, order, stats=work):
-                return True
-        return False
+        self._undo = []
+        try:
+            yield
+        except BaseException:
+            for db, change, added in reversed(self._undo):
+                for predicate in change.predicates:
+                    rows = change.tuples(predicate)
+                    if added:
+                        db._remove_rows(predicate, rows)
+                    else:
+                        db._insert_rows(predicate, rows)
+            raise
+        finally:
+            self._undo = []

@@ -314,62 +314,6 @@ def match_body(
     yield from search(0)
 
 
-def body_witness(
-    db: Database,
-    literals: Sequence[Literal],
-    bindings: Mapping[Variable, Term],
-    order: Sequence[int],
-    stats: EvaluationStats | None = None,
-) -> bool:
-    """Does *some* completion of *bindings* satisfy the body in *db*?
-
-    The boolean twin of :func:`match_body` with the witness cutoff
-    engaged from depth 0: callers pass bindings that already determine
-    everything they care about (e.g. every head variable, as in DRed
-    rederivation) and only need to know whether a witness exists.
-    Skipping the generator machinery and the per-solution dict copies
-    makes this the cheapest probe the join layer offers.  *bindings* is
-    left unmodified; *order* is a precomputed :func:`plan_order` result.
-    """
-    scratch: dict[Variable, Term] = dict(bindings)
-
-    def satisfiable(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        literal = literals[order[depth]]
-        atom = literal.atom
-        if stats is not None:
-            stats.subgoal_attempts += 1
-        if not literal.positive:
-            return atom.substitute(scratch) not in db and satisfiable(depth + 1)
-        bound = _bound_positions(atom, scratch)
-        args = atom.args
-        for row in db.candidates(atom.predicate, bound):
-            added = None
-            matched = True
-            for pos, term in enumerate(args):
-                if pos in bound:
-                    continue
-                value = scratch.get(term)
-                if value is None:
-                    scratch[term] = row[pos]
-                    if added is None:
-                        added = [term]
-                    else:
-                        added.append(term)
-                elif value != row[pos]:
-                    matched = False
-                    break
-            if matched and satisfiable(depth + 1):
-                return True
-            if added:
-                for var in added:
-                    del scratch[var]
-        return False
-
-    return satisfiable(0)
-
-
 def fire_rule(
     db: Database,
     head: Atom,

@@ -145,7 +145,7 @@ def seminaive_fixpoint(
                 # loop header re-increments iterations to it).
                 delta = resume_state.delta.copy()
                 snapshot = full.copy()
-                snapshot.discard_all(delta.atoms())
+                snapshot.subtract(delta)
                 stats.iterations = resume_state.round - 1
             else:
                 # Round 0: fire ground facts (empty bodies) and seed the

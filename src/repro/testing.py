@@ -18,13 +18,17 @@ Checks performed per seed:
 * **optimization is sound** -- `minimize_program` output is uniformly
   equivalent to its input and produces identical databases on sampled
   EDBs; `optimize` output produces identical databases on sampled EDBs;
-* **maintenance is exact** -- a DRed-maintained view equals
-  recomputation after random insert/delete scripts.
+* **maintenance is exact** -- a DRed-maintained view, on either
+  backend, equals :func:`reference_maintenance` view for view and
+  counter for counter after random batched insert/delete scripts.
 
 :func:`reference_minimize_program` and :func:`reference_scan_redundancy`
 are the Fig. 1/2 loops with nothing shared between containment tests
 (one fresh, full evaluation each): the oracle for the shared, goal-
 directed :class:`~repro.core.containment.ContainmentSession`.
+:func:`reference_maintenance` is DRed on copies with the interpreted
+matcher: the oracle for the in-place, compiled
+:class:`~repro.engine.incremental.MaterializedView`.
 
 All generators take explicit seeds and are deterministic, so a failure
 report is sufficient to reproduce the bug.
@@ -52,7 +56,8 @@ from .core.minimize import (
 from .core.optimizer import optimize
 from .data.database import Database
 from .engine.fixpoint import evaluate
-from .engine.incremental import MaterializedView
+from .engine.incremental import MaintenanceStats, MaterializedView
+from .engine.joins import fire_rule, match_body
 from .engine.magic import answer_query
 from .engine.naive import naive_fixpoint
 from .engine.seminaive import seminaive_fixpoint
@@ -62,6 +67,7 @@ from .lang.atoms import Atom
 from .lang.freeze import freeze_rule
 from .lang.programs import Program
 from .lang.rules import Rule
+from .lang.substitution import match_atom
 from .lang.terms import Variable
 from .workloads.programs import random_positive_program
 
@@ -136,8 +142,6 @@ def check_query_strategies_agree(
 ) -> str | None:
     """Magic, supplementary magic, tabled top-down vs full evaluation."""
     full = evaluate(program, db).database
-    from .lang.substitution import match_atom
-
     expected = {
         row
         for row in full.tuples(query.predicate)
@@ -183,24 +187,112 @@ def check_optimizer_sound(program: Program, sample_dbs: list[Database]) -> str |
     return None
 
 
-def check_maintenance_exact(program: Program, seed: int) -> str | None:
-    """DRed view vs recomputation over a random insert/delete script."""
-    rng = random.Random(seed)
-    base = random_database(seed, domain=4, facts=10)
-    view = MaterializedView(program, base)
-    live = set(base.atoms())
-    for step in range(8):
+def _random_maintenance_script(
+    rng: random.Random, base: Database, steps: int
+) -> list[tuple[str, list[Atom]]]:
+    """Insert/delete batches of one to three ``E0``/``E1`` edges on four
+    nodes over *base*: deletions pick given facts, insertions may repeat
+    them."""
+    live = sorted(base.atoms(), key=str)
+    script = []
+    for _ in range(steps):
+        size = rng.randint(1, 3)
         if live and rng.random() < 0.5:
-            atom = rng.choice(sorted(live, key=str))
-            view.delete(atom)
-            live.discard(atom)
+            batch = rng.sample(live, min(size, len(live)))
+            live = [atom for atom in live if atom not in batch]
+            script.append(("delete", batch))
         else:
-            atom = Atom.of(f"E{rng.randrange(2)}", rng.randrange(4), rng.randrange(4))
-            view.insert(atom)
-            live.add(atom)
-        if view.database != evaluate(program, Database(live)).database:
-            return f"maintained view diverged from recomputation at step {step}"
+            batch = [
+                Atom.of(f"E{rng.randrange(2)}", rng.randrange(4), rng.randrange(4))
+                for _ in range(size)
+            ]
+            live = sorted(set(live) | set(batch), key=str)
+            script.append(("insert", batch))
+    return script
+
+
+def check_maintenance_exact(program: Program, seed: int) -> str | None:
+    """DRed view vs :func:`reference_maintenance`, view for view and
+    counter for counter, over a random batched script on both backends."""
+    base = random_database(seed, domain=4, facts=10)
+    script = _random_maintenance_script(random.Random(seed), base, steps=8)
+    expected = reference_maintenance(program, base, script)
+    for backend in ("rows", "columnar"):
+        view = MaterializedView(program, Database(base.atoms(), backend=backend))
+        for step, ((kind, batch), (stats, atoms)) in enumerate(zip(script, expected)):
+            got = view.insert_all(batch) if kind == "insert" else view.delete_all(batch)
+            if frozenset(view.database.atoms()) != atoms:
+                return f"{backend}: maintained view diverged from the reference at step {step}"
+            if got != stats:
+                return f"{backend}: step {step} ({kind}) counted {got}, the reference {stats}"
     return None
+
+
+def reference_maintenance(
+    program: Program, base: Database, script
+) -> list[tuple[MaintenanceStats, frozenset[Atom]]]:
+    """Copy-based DRed with nothing compiled, shared or done in place:
+    the oracle for :class:`~repro.engine.incremental.MaterializedView`.
+
+    *script* is a sequence of ``("insert" | "delete", atoms)`` batches.
+    Returns, per batch, the counters ``insert_all`` / ``delete_all`` must
+    report and the view after it.  An insertion recomputes the fixpoint.
+    A deletion over-deletes with :func:`~repro.engine.joins.fire_rule`,
+    copies the view minus the over-deleted facts, then re-proves them
+    one at a time with :func:`~repro.engine.joins.match_body`, pass
+    after pass, until a pass restores nothing.
+    """
+    given = set(base.atoms())
+    view = naive_fixpoint(program, Database(given), use_compiled=False).database
+    out = []
+    for kind, atoms in script:
+        stats = MaintenanceStats()
+        if kind == "insert":
+            given.update(atoms)
+            new = naive_fixpoint(program, Database(given), use_compiled=False).database
+            stats.inserted = len(new) - len(view)
+        else:
+            delta = {atom for atom in atoms if atom in given}
+            given -= delta
+            overdeleted = set(delta)
+            while delta:
+                source = Database(delta)
+                derived: set[Atom] = set()
+                for rule in program.rules:
+                    for position, literal in enumerate(rule.body):
+                        if source.count(literal.predicate):
+                            derived |= fire_rule(
+                                view, rule.head, rule.body, source_for={position: source}
+                            )
+                delta = derived - given - overdeleted
+                overdeleted |= delta
+            new = view.copy()
+            for atom in overdeleted:
+                new.discard(atom)
+            pending = set(overdeleted)
+            while True:
+                back = {atom for atom in pending if _rederivable(program, atom, new)}
+                if not back:
+                    break
+                new.add_all(back)
+                pending -= back
+            stats.overdeleted = len(overdeleted)
+            stats.deleted = len(pending)
+            stats.rederived = stats.overdeleted - stats.deleted
+        view = new
+        out.append((stats, frozenset(view.atoms())))
+    return out
+
+
+def _rederivable(program: Program, fact: Atom, db: Database) -> bool:
+    """Does some rule derive *fact* in one step from *db*?"""
+    for rule in program.rules_for(fact.predicate):
+        bindings = match_atom(rule.head, fact)
+        if bindings is None:
+            continue
+        for _ in match_body(db, rule.body, initial=bindings):
+            return True
+    return False
 
 
 def run_differential_suite(

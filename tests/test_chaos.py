@@ -20,6 +20,12 @@ generation and converges to the **bitwise-identical** final database --
 across every fixpoint engine, both storage backends, and with the
 latest generation deliberately corrupted (checksum fallback).
 
+A fifth covers incremental maintenance
+(:class:`TestViewMaintenanceChaos`): on a fault-wrapped
+``MaterializedView``, each insert/delete batch either equals
+recomputation or fails typed and leaves the view and its base
+untouched, on both storage backends.
+
 Every schedule is derived from a seed, so any failure here replays
 bit-for-bit from the parameters in the test id.
 """
@@ -33,6 +39,7 @@ import pytest
 
 from repro import Database, parse_atom, parse_program
 from repro.engine import evaluate, get_engine
+from repro.engine.incremental import MaterializedView
 from repro.errors import ResourceLimitExceeded, SimulatedCrash, TransientStorageError
 from repro.lang.serialize import database_to_json
 from repro.resilience import (
@@ -246,3 +253,55 @@ class TestCrashRecoverySweep:
         ).run()
         assert result.status is EvaluationStatus.COMPLETE
         assert database_to_json(result.database) == baseline
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", SEEDS)
+class TestViewMaintenanceChaos:
+    """A fifth invariant, on a maintained view: under a seeded fault
+    plan every insert/delete batch either completes and equals
+    recomputation, or raises a typed error and leaves the view and its
+    base exactly as they were (the batch is then retried)."""
+
+    def test_each_batch_is_exact_or_leaves_no_trace(self, backend, seed):
+        rng = random.Random(seed)
+        edb = Database(backend=backend)
+        for _ in range(14):  # 14 random edges on 8 nodes: cycles included
+            edb.add_fact("E", rng.randrange(8), rng.randrange(8))
+        plan = FaultPlan.seeded(
+            seed=seed,
+            operations=("candidates", "add", "contains"),
+            faults_per_operation=3,
+            horizon=400,
+        )
+        while True:  # a fault in the build leaves no view to maintain
+            try:
+                view = MaterializedView(TC, plan.wrap(edb))
+                break
+            except TransientStorageError:
+                pass
+        given = set(edb.atoms())
+        failures = 0
+        for _ in range(12):
+            if given and rng.random() < 0.5:
+                kind = "delete"
+                batch = rng.sample(sorted(given, key=str), min(len(given), rng.randint(1, 3)))
+            else:
+                kind = "insert"
+                batch = [
+                    parse_atom(f"E({rng.randrange(8)}, {rng.randrange(8)})")
+                    for _ in range(rng.randint(1, 3))
+                ]
+            run = view.insert_all if kind == "insert" else view.delete_all
+            while True:
+                before = (set(view.database.atoms()), set(view._base.atoms()))
+                try:
+                    run(batch)
+                    break
+                except TransientStorageError:
+                    failures += 1
+                    assert (set(view.database.atoms()), set(view._base.atoms())) == before
+            given = given | set(batch) if kind == "insert" else given - set(batch)
+            expected = evaluate(TC, Database(given)).database
+            assert set(view.database.atoms()) == set(expected.atoms())
+        assert failures, "no fault reached the maintenance script"

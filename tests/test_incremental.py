@@ -5,16 +5,36 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import Database, evaluate, parse_program
+from repro import Database, evaluate, paper, parse_program
 from repro.engine.incremental import MaterializedView
-from repro.errors import GroundnessError, UnsafeRuleError
-from repro.lang import Atom, Variable
+from repro.errors import GroundnessError, TransientStorageError, UnsafeRuleError
+from repro.lang import Atom, Constant, Variable
+from repro.resilience import FaultPlan
+from repro.testing import reference_maintenance
 from repro.workloads import chain, cycle, random_graph, tc_nonlinear
+
+BACKENDS = ("rows", "columnar")
+PHASES = ("_overdelete", "_rederive", "_propagate")
 
 
 def recomputed(program, atoms):
     return evaluate(program, Database(atoms)).database
+
+
+def state(view):
+    """What a failed operation must leave untouched: view and base."""
+    return frozenset(view.database.atoms()), frozenset(view._base.atoms())
+
+
+def built_views(db, predicate):
+    """The index views built on *predicate*, single and composite."""
+    if db.backend == "columnar":
+        relation = db._relations[predicate]
+        return set(relation._views) | set(relation._composites)
+    index = db._indexes[predicate]
+    return set(index.built_positions()) | set(index.composite_positions())
 
 
 class TestConstruction:
@@ -144,3 +164,185 @@ class TestDifferential:
                 view.insert(atom)
                 live.add(atom)
             assert view.database == recomputed(tc, live)
+
+
+class TestInPlace:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_database_is_one_object_and_index_views_survive(self, tc_linear, backend):
+        view = MaterializedView(tc_linear, cycle(6, backend=backend))
+        db = view.database
+        key = {value: db.store_term(Constant(value)) for value in range(6)}
+        for bound in ({0: 0}, {1: 0}, {0: 0, 1: 1}):
+            list(db.candidates("G", {p: key[v] for p, v in bound.items()}))
+        built = built_views(db, "G")
+        view.delete(Atom.of("A", 2, 3))
+        view.insert(Atom.of("A", 2, 3))
+        view.delete_all([Atom.of("A", 0, 1), Atom.of("A", 4, 5)])
+        assert view.database is db
+        assert built <= built_views(db, "G")
+        # The views maintained in place answer exactly what a scan does.
+        rows = set(db.candidates("G", {}))
+        for pos in (0, 1):
+            for value in key.values():
+                hits = set(db.candidates("G", {pos: value}))
+                assert hits == {row for row in rows if row[pos] == value}
+        for x in key.values():
+            for y in key.values():
+                assert set(db.candidates("G", {0: x, 1: y})) == (
+                    {(x, y)} & rows
+                )
+
+    def test_deletes_copy_neither_view_nor_base(self, tc_linear, monkeypatch):
+        view = MaterializedView(tc_linear, cycle(5))
+        copied = []
+        original = Database.copy
+        monkeypatch.setattr(
+            Database, "copy", lambda self: copied.append(self) or original(self)
+        )
+        view.delete(Atom.of("A", 1, 2))
+        view.insert(Atom.of("A", 1, 2))
+        assert all(db is not view.database and db is not view._base for db in copied)
+
+
+# -- storage faults inside maintenance ------------------------------------------
+
+#: A chain with a shortcut: deleting A(2, 3) over-deletes G(1, 3), which
+#: the shortcut rederives in one step, and G(0, 3), which propagation
+#: brings back -- so every phase makes storage calls.
+SHORTCUT = [(i, i + 1) for i in range(6)] + [(1, 3)]
+DELETE = [Atom.of("A", 2, 3)]
+INSERT = [Atom.of("A", 6, 7)]
+
+
+def edges(backend, pairs):
+    db = Database(backend=backend)
+    for u, v in pairs:
+        db.add_fact("A", u, v)
+    return db
+
+
+def faulted(tc_linear, backend, pairs, plan):
+    return MaterializedView(tc_linear, plan.wrap(edges(backend, pairs)))
+
+
+def seam_counts(tc_linear, backend, pairs, operation, run):
+    """On a clean run of *run*: the *operation* count when it starts,
+    when each phase is first entered, and when it ends."""
+    plan = FaultPlan()
+    view = faulted(tc_linear, backend, pairs, plan)
+    starts = {}
+    for name in PHASES:
+        def spy(*args, _name=name, _method=getattr(view, name)):
+            starts.setdefault(_name, plan.counters[operation])
+            return _method(*args)
+
+        setattr(view, name, spy)
+    begin = plan.counters[operation]
+    run(view)
+    return begin, starts, plan.counters[operation]
+
+
+def assert_rolls_back_then_retries(tc_linear, backend, pairs, operation, at, kind, atoms):
+    plan = FaultPlan.transient_at(operation, [at])
+    view = faulted(tc_linear, backend, pairs, plan)
+    before = state(view)
+    run = view.insert_all if kind == "insert" else view.delete_all
+    with pytest.raises(TransientStorageError):
+        run(atoms)
+    assert state(view) == before
+    run(atoms)
+    given = {Atom.of("A", u, v) for u, v in pairs}
+    given = given | set(atoms) if kind == "insert" else given - set(atoms)
+    assert view.database == recomputed(tc_linear, given)
+    return view
+
+
+class TestStorageFaults:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "kind, atoms, nth, after", [("delete", DELETE, 4, 14), ("insert", INSERT, 3, 35)]
+    )
+    def test_fault_after_the_base_changed_does_not_stick(
+        self, tc_linear, backend, kind, atoms, nth, after
+    ):
+        # The nth candidates call of the operation fails after the base
+        # has changed.  Without a rollback the view kept its 27 facts and
+        # the retry was a no-op, so the view stayed wrong for good.
+        chain_edges = [(i, i + 1) for i in range(6)]
+        begin, _, _ = seam_counts(tc_linear, backend, chain_edges, "candidates", len)
+        view = assert_rolls_back_then_retries(
+            tc_linear, backend, chain_edges, "candidates", begin + nth, kind, atoms
+        )
+        assert len(view) == after
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_fault_in_each_delete_phase_rolls_back(self, tc_linear, backend, phase):
+        def delete(view):
+            view.delete_all(DELETE)
+
+        _, starts, end = seam_counts(tc_linear, backend, SHORTCUT, "candidates", delete)
+        assert set(starts) == set(PHASES)
+        assert starts[phase] < end
+        assert_rolls_back_then_retries(
+            tc_linear, backend, SHORTCUT, "candidates", starts[phase] + 1, "delete", DELETE
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("operation", ["candidates", "add", "contains"])
+    @pytest.mark.parametrize("kind, atoms", [("delete", DELETE), ("insert", INSERT)])
+    def test_every_fault_position_rolls_back(self, tc_linear, backend, operation, kind, atoms):
+        def run(view):
+            (view.insert_all if kind == "insert" else view.delete_all)(atoms)
+
+        begin, _, end = seam_counts(tc_linear, backend, SHORTCUT, operation, run)
+        assert end > begin
+        for at in range(begin + 1, end + 1):
+            assert_rolls_back_then_retries(
+                tc_linear, backend, SHORTCUT, operation, at, kind, atoms
+            )
+
+
+# -- differential property against the copy-based reference ---------------------
+
+NODES = 5
+edge_atoms = st.builds(
+    lambda pred, u, v: Atom.of(pred, u, v),
+    st.sampled_from(["A", "A", "A", "G"]),
+    st.integers(0, NODES - 1),
+    st.integers(0, NODES - 1),
+)
+scripts = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete"]), st.lists(edge_atoms, min_size=1, max_size=4)),
+    max_size=6,
+)
+
+
+class TestDifferentialProperty:
+    @pytest.mark.parametrize("use_compiled", [True, False])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("program", [paper.TC_LINEAR, paper.TC_NONLINEAR], ids=["linear", "nonlinear"])
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.lists(edge_atoms, max_size=12), script=scripts)
+    def test_view_and_counters_match_the_reference(
+        self, program, backend, use_compiled, base, script
+    ):
+        # Random graphs on five nodes have cycles; "G" atoms are given
+        # IDB facts (the paper's generalized inputs), protected until
+        # deleted themselves.  Deletes of atoms not given are no-ops.
+        given_db = Database(base, backend=backend)
+        expected = reference_maintenance(program, given_db, script)
+        view = MaterializedView(program, given_db, use_compiled=use_compiled)
+        db = view.database
+        given_atoms = set(base)
+        for (kind, batch), (stats, atoms) in zip(script, expected):
+            if kind == "insert":
+                got = view.insert_all(batch)
+                given_atoms |= set(batch)
+            else:
+                got = view.delete_all(batch)
+                given_atoms -= set(batch)
+            assert got == stats
+            assert frozenset(view.database.atoms()) == atoms
+            assert atoms == frozenset(recomputed(program, given_atoms).atoms())
+            assert view.database is db

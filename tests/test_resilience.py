@@ -160,6 +160,46 @@ class TestIncrementalTransactionality:
             view.insert_all([parse_atom('E(100, 101)'), parse_atom('E(101, 102)')])
         assert set(view.database.atoms()) == before
 
+    @pytest.mark.parametrize("phase", ["_overdelete", "_rederive", "_propagate"])
+    def test_delete_rolls_back_on_trip_in_each_phase(self, phase):
+        # E(1, 3) shortcuts E(1, 2), E(2, 3): deleting E(2, 3) rederives
+        # T(1, 3) in one step and T(0, 3) by propagation, so every phase
+        # runs and reaches a governor check.
+        edb = chain(6)
+        edb.add_fact("E", 1, 3)
+        token = CancellationToken()
+        view = MaterializedView(
+            TC, edb, governor=ResourceGovernor(token=token, check_stride=1)
+        )
+        before = (set(view.database.atoms()), set(view._base.atoms()))
+        entered = []
+        for name in ("_overdelete", "_rederive", "_propagate"):
+            def spy(*args, _name=name, _method=getattr(view, name)):
+                entered.append(_name)
+                if _name == phase:
+                    token.cancel()
+                return _method(*args)
+
+            setattr(view, name, spy)
+        with pytest.raises(ResourceLimitExceeded) as excinfo:
+            view.delete_all([parse_atom("E(2, 3)")])
+        assert excinfo.value.report.limit == "cancelled"
+        assert entered[-1] == phase
+        assert (set(view.database.atoms()), set(view._base.atoms())) == before
+
+    def test_governed_operations_copy_neither_view_nor_base(self, monkeypatch):
+        edb = chain(6)
+        edb.add_fact("E", 1, 3)
+        view = MaterializedView(TC, edb, governor=ResourceGovernor(max_facts=10_000))
+        copied = []
+        original = Database.copy
+        monkeypatch.setattr(
+            Database, "copy", lambda self: copied.append(self) or original(self)
+        )
+        view.delete_all([parse_atom("E(2, 3)")])
+        view.insert_all([parse_atom("E(2, 3)")])
+        assert all(db is not view.database and db is not view._base for db in copied)
+
 
 class TestFaultPlans:
     def test_invalid_operation_rejected(self):
