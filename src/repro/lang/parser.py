@@ -6,8 +6,12 @@ The concrete syntax follows the paper's conventions:
   ``G``, ``Anc``;
 * **variables** are identifiers beginning with a lowercase letter or
   underscore: ``x``, ``y1``, ``w``;
-* **constants** are integers (``3``, ``-10``) or quoted strings
-  (``'alice'``);
+* **constants** are integers written with ASCII digits (``3``, ``-10``;
+  ``٣`` is not a digit here) or quoted strings (``'alice'``, ``"bob"``,
+  with ``\\'``, ``\\"`` and ``\\\\`` as escapes).  An integer literal
+  too long for ``int`` to convert is a :class:`~repro.errors.ParseError`
+  at the literal.  A string constant prints single-quoted with ``\\``
+  and ``'`` escaped, so printed facts parse back to the same facts;
 * a **rule** is ``Head :- Atom, ..., Atom.`` and a **fact** is a ground
   atom followed by ``.``;
 * a **negated literal** (stratified extension only) is written
@@ -25,6 +29,18 @@ Example::
 
 All entry points raise :class:`~repro.errors.ParseError` with a line and
 column on malformed input.
+
+**Ground facts skip the tokenizer.**  An EDB arrives as fact text, so
+:func:`parse_program` first reads the source as ground facts only: one
+regex match per statement ``Pred(c1, ..., cn).``, with blanks around
+tokens and comments between statements.  If every statement matches
+and only blanks and comments follow the last one, the facts become
+rules of the same :class:`~repro.lang.programs.Program` the full parser
+would build.  Otherwise -- a rule, a tgd, a comment inside a statement,
+an integer too long to convert, malformed text -- the *whole* source is
+parsed again by the recursive-descent parser, so the result, or the
+typed error with its line and column, is exactly the full parser's.
+That parser stays the reference, and the only path for rules and tgds.
 """
 
 from __future__ import annotations
@@ -39,19 +55,87 @@ from .programs import Program
 from .rules import Rule
 from .terms import Constant, Term, Variable
 
+#: The two constant literals, shared by the tokenizer and the fact path
+#: so both read exactly the same constants.
+_INT = r"-?[0-9]+"
+_STRING = r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\""""
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>[%\#][^\n]*)
   | (?P<arrow>->)
   | (?P<implies>:-)
-  | (?P<int>-?\d+)
-  | (?P<string>'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")
+  | (?P<int>{_INT})
+  | (?P<string>{_STRING})
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[(),.&!])
     """,
     re.VERBOSE,
 )
+
+_LITERAL = f"{_INT}|{_STRING}"
+_LITERAL_RE = re.compile(_LITERAL)
+
+#: Blanks and whole comments.  The lookahead stops a comment from ending
+#: early, so backtracking can never read a fact out of a comment.
+_SKIP = r"(?:\s|[%#][^\n]*(?![^\n]))*"
+_SKIP_RE = re.compile(_SKIP)
+
+#: One ground fact ``Pred(c1, ..., cn).`` after any blanks and comments.
+#: No two blank runs are adjacent, so a failed match backtracks in
+#: linear time.
+_FACT_RE = re.compile(
+    rf"{_SKIP}([A-Z][A-Za-z0-9_]*)\s*\(\s*(?:((?:{_LITERAL})(?:\s*,\s*(?:{_LITERAL}))*)\s*)?\)\s*\."
+)
+
+
+def _constant(text: str, line: int | None = None, column: int | None = None) -> Constant:
+    """The constant an ``int`` or ``string`` literal spells.
+
+    Both parse paths convert literals here.  An integer too long for
+    ``int`` to convert raises :class:`ParseError` at (*line*, *column*).
+    The fact path passes no position: it catches the error and hands the
+    whole text to the full parser, which raises it, or an error its
+    tokenizer finds first, with one.
+    """
+    if text[0] == "'" or text[0] == '"':
+        return Constant(text[1:-1].replace("\\'", "'").replace('\\"', '"').replace("\\\\", "\\"))
+    try:
+        return Constant(int(text))
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"integer literal of {digits} digits is too long", line, column) from None
+
+
+def _ground_facts(source: str) -> list[Rule] | None:
+    """The rules of *source* if it holds only ground facts, else ``None``.
+
+    ``None`` means the caller must run the full parser on the whole
+    source, which then returns or raises exactly what it always does.
+    """
+    rules: list[Rule] = []
+    constants: dict[str, Constant] = {}  # literal text -> constant
+    match = _FACT_RE.match
+    literals = _LITERAL_RE.findall
+    pos = 0
+    while (fact := match(source, pos)) is not None:
+        predicate, args = fact.group(1, 2)
+        terms: list[Constant] = []
+        if args:
+            for text in literals(args):
+                term = constants.get(text)
+                if term is None:
+                    try:
+                        term = constants[text] = _constant(text)
+                    except ParseError:
+                        return None
+                terms.append(term)
+        rules.append(Rule(Atom(predicate, tuple(terms))))
+        pos = fact.end()
+    if _SKIP_RE.match(source, pos).end() != len(source):
+        return None
+    return rules
 
 
 @dataclass(frozen=True)
@@ -156,13 +240,9 @@ class _Parser:
     # -- grammar ---------------------------------------------------------------
     def parse_term(self) -> Term:
         token = self.current
-        if token.kind == "int":
+        if token.kind == "int" or token.kind == "string":
             self.advance()
-            return Constant(int(token.text))
-        if token.kind == "string":
-            self.advance()
-            raw = token.text[1:-1]
-            return Constant(raw.replace("\\'", "'").replace('\\"', '"').replace("\\\\", "\\"))
+            return _constant(token.text, token.line, token.column)
         if token.kind == "name":
             self.advance()
             if token.text[0].isupper():
@@ -247,7 +327,14 @@ class _Parser:
 
 
 def parse_program(source: str) -> Program:
-    """Parse a whole program (zero or more rules/facts)."""
+    """Parse a whole program (zero or more rules/facts).
+
+    Text made only of ground facts takes the fact path (see the module
+    docstring); anything else goes to the full parser.
+    """
+    rules = _ground_facts(source)
+    if rules is not None:
+        return Program(rules)
     parser = _Parser(source)
     program = parser.parse_program()
     parser.finish()

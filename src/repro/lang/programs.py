@@ -31,16 +31,11 @@ class Program:
     def __init__(self, rules: Sequence[Rule] = ()):
         # Preserve first-occurrence order but drop duplicates: a program
         # is semantically a set of rules.
-        seen: dict[Rule, None] = {}
-        for rule in rules:
-            seen.setdefault(rule)
-        self._rules: tuple[Rule, ...] = tuple(seen)
+        self._rules: tuple[Rule, ...] = tuple(dict.fromkeys(rules))
         self._arities: dict[str, int] = {}
         self._check_arities()
         self._idb: frozenset[str] = frozenset(r.head.predicate for r in self._rules)
-        body_preds: set[str] = set()
-        for rule in self._rules:
-            body_preds.update(rule.body_predicates())
+        body_preds = {lit.atom.predicate for rule in self._rules for lit in rule.body}
         self._edb: frozenset[str] = frozenset(body_preds - self._idb)
 
     def _check_arities(self) -> None:

@@ -42,10 +42,17 @@ class Rule:
     _hash: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, head: Atom, body: Sequence[Atom | Literal] = ()):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", tuple(_as_literal(b) for b in body))
-        object.__setattr__(self, "_variables", self._collect_variables())
-        object.__setattr__(self, "_hash", hash((head, self.body)))
+        literals = tuple(_as_literal(b) for b in body) if body else ()
+        # The class is frozen, so fields go straight into the instance dict.
+        fields = self.__dict__
+        fields["head"] = head
+        fields["body"] = literals
+        fields["_hash"] = hash((head, literals))
+        if not literals and head.is_ground:
+            # A fact, the bulk of every EDB: no variables and nothing to check.
+            fields["_variables"] = frozenset()
+            return
+        fields["_variables"] = self._collect_variables()
         self._check_safety()
 
     def _collect_variables(self) -> frozenset[Variable]:

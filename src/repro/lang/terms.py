@@ -98,7 +98,9 @@ class Constant:
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
-            return f"'{self.value}'"
+            # Escaped as the parser unescapes, so the text parses back.
+            escaped = self.value.replace("\\", "\\\\").replace("'", "\\'")
+            return f"'{escaped}'"
         return str(self.value)
 
     def __repr__(self) -> str:

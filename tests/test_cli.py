@@ -700,12 +700,14 @@ def _unreadable(kind, tmp_path):
     path = tmp_path / f"unreadable-{kind}"
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "non-utf8":
         path.write_bytes(b"G(x) :- \xff\xfe A(x).\n")
+    else:  # past Python's int-conversion digit limit
+        path.write_text("A(" + "1" * 5000 + ").\n")
     return str(path)
 
 
-@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "long-int"])
 @pytest.mark.parametrize("slot", ["program", "edb", "resume", "certificate"])
 def test_unreadable_input_file_is_one_error_line(slot, kind, files, tmp_path, capsys):
     bad = _unreadable(kind, tmp_path)
