@@ -309,12 +309,11 @@ def select_answers(computed: Database, query: Atom) -> Database:
     """
     from ...lang.substitution import match_atom
 
-    pattern = computed.adapt_atom(query)
     out = Database()
     if computed.count(query.predicate):
         for row in computed.tuples(query.predicate):
-            if match_atom(pattern, Atom(query.predicate, row)) is not None:
-                out._add_row(query.predicate, computed.decode_row(row))
+            if match_atom(query, Atom(query.predicate, row)) is not None:
+                out._add_row(query.predicate, row)
     return out
 
 

@@ -152,25 +152,14 @@ def _load_program(path: str) -> Program:
     return parse_program(_read(path))
 
 
-def _load_edb(path: str, backend: str = "rows") -> Database:
+def _load_edb(path: str) -> Database:
     facts_program = parse_program(_read(path))
-    db = Database(backend=backend)
+    db = Database()
     for rule in facts_program.rules:
         if not rule.is_fact:
             raise ReproError(f"EDB file {path} contains a non-fact rule: {rule}")
         db.add(rule.head)
     return db
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """The storage-backend selector shared by the EDB-loading verbs."""
-    p.add_argument(
-        "--backend",
-        choices=["rows", "columnar"],
-        default="rows",
-        help="storage backend for the EDB and evaluation "
-        "(columnar = interned-int columns; see docs/STORAGE.md)",
-    )
 
 
 def _load_tgds(path: str) -> list[Tgd]:
@@ -422,7 +411,7 @@ def _emit_result(args: argparse.Namespace, result, database=None) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
-    edb = _load_edb(args.edb, args.backend)
+    edb = _load_edb(args.edb)
     governor = _governor_from_args(args)
     governor, _manager = _checkpointed_governor(args, governor, program, args.engine)
     result = evaluate(
@@ -462,8 +451,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if not args.json:
         print(
             f"resuming {checkpoint.engine} evaluation from round "
-            f"{checkpoint.round} ({len(checkpoint.database)} facts, "
-            f"backend {checkpoint.backend})",
+            f"{checkpoint.round} ({len(checkpoint.database)} facts)",
             file=sys.stderr,
         )
     result = resume_evaluation(checkpoint, governor=governor, program=program)
@@ -589,7 +577,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .lang import parse_atom
 
     program = _load_program(args.program)
-    edb = _load_edb(args.edb, args.backend)
+    edb = _load_edb(args.edb)
     query = parse_atom(args.query)
     governor = _governor_from_args(args)
     plan = None
@@ -703,7 +691,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"error: engine {args.engine!r} requires a query atom (--query)", file=sys.stderr)
         return 2
     program = _load_program(args.program)
-    edb = _load_edb(args.edb, args.backend)
+    edb = _load_edb(args.edb)
     query = parse_atom(args.query) if args.query else None
     if args.compare_minimized:
         comparison = profile_comparison(program, edb, engine=args.engine, query=query)
@@ -906,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the result (database, stats, status, and on PARTIAL "
         "the degradation report) as machine-readable JSON",
     )
-    _add_backend_flag(p)
     _add_governor_flags(p)
     _add_checkpoint_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -1022,7 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the answers (plus stats, status, and on PARTIAL the "
         "degradation report) as machine-readable JSON",
     )
-    _add_backend_flag(p)
     _add_governor_flags(p)
     p.set_defaults(func=_cmd_query)
 
@@ -1061,7 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-depth", type=int, default=2, help="span-tree depth in text output"
     )
-    _add_backend_flag(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(

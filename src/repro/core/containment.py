@@ -58,7 +58,7 @@ class ContainmentSession:
 
     A session is created by the call that owns it and dropped when that
     call returns; it is never stored globally.  Engines other than
-    ``seminaive``, and non-row storage backends, take the plain path.
+    ``seminaive`` take the plain path.
     """
 
     __slots__ = ("kernels", "_container", "_restricted")
@@ -70,11 +70,9 @@ class ContainmentSession:
         self._container: Program | None = None
         self._restricted: dict[str, Program] = {}
 
-    def goal_run(
-        self, engine: EngineName, canonical: Database, target: Atom | None
-    ) -> GoalRun | None:
+    def goal_run(self, engine: EngineName, target: Atom | None) -> GoalRun | None:
         """The hand-off to one evaluation, or ``None`` for the plain path."""
-        if engine != "seminaive" or canonical.backend != "rows":
+        if engine != "seminaive":
             return None
         return GoalRun(self.kernels, target)
 
@@ -145,7 +143,7 @@ def rule_uniformly_contained_in(
     with trace("containment.rule_test") as span:
         frozen = freeze_rule(rule)
         canonical = Database(frozen.body)
-        goal = session.goal_run(engine, canonical, frozen.head)
+        goal = session.goal_run(engine, frozen.head)
         if goal is not None:
             container = session.relevant(container, frozen.head.predicate)
         # A PARTIAL evaluation here would be *unsound*: the frozen head
@@ -180,7 +178,7 @@ def check_rule_containment(
     with trace("containment.rule_test") as span:
         frozen = freeze_rule(rule)
         canonical = Database(frozen.body)
-        goal = session.goal_run(engine, canonical, None)
+        goal = session.goal_run(engine, None)
         result = evaluate(
             container, canonical, engine, governor, on_limit="raise", _goal=goal
         )

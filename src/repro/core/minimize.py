@@ -281,10 +281,6 @@ class ContainmentBudget:
         metrics_registry().increment("containment.budget_spent")
         return True
 
-    @property
-    def exhausted(self) -> bool:
-        return self.skipped > 0
-
 
 @dataclass(frozen=True)
 class RedundantAtom:

@@ -1,27 +1,20 @@
 """Fact storage: databases of ground atoms, relations, and hash indexes.
 
-Two interchangeable backends live here (contract: ``docs/STORAGE.md``):
-the row backend (:class:`Database`, Term-tuple sets with lazy
-:class:`PredicateIndex` buckets) and the columnar backend
-(:class:`ColumnarDatabase`, interned-int rows over ``array('q')``
-column logs).  Select with ``Database(backend="columnar"|"rows")``.
+One store (contract: ``docs/STORAGE.md``): :class:`Database` keeps each
+predicate's rows as a set of Term tuples, with lazy
+:class:`PredicateIndex` buckets.
 """
 
 from __future__ import annotations
 
-from .columnar import ColumnarDatabase, ColumnarRelation, SymbolTable, symbol_table
 from .database import Database
 from .indexes import PredicateIndex
 from .relations import Relation, relation_of, split_edb_idb
 
 __all__ = [
-    "ColumnarDatabase",
-    "ColumnarRelation",
     "Database",
     "PredicateIndex",
     "Relation",
-    "SymbolTable",
     "relation_of",
     "split_edb_idb",
-    "symbol_table",
 ]

@@ -29,6 +29,11 @@ from .indexes import PredicateIndex
 #: smallest-single-bucket + filter path.
 _COMPOSITE_CAP = 16
 
+#: Names ``Database(backend=...)`` accepts.  ``"columnar"`` names a
+#: backend that no longer exists; it is read as the one store so older
+#: callers keep working.
+_BACKEND_NAMES = (None, "rows", "columnar")
+
 
 class Database:
     """A mutable set of ground atoms, grouped by predicate.
@@ -52,21 +57,11 @@ class Database:
 
     __slots__ = ("_relations", "_arities", "_indexes", "_size", "_scans")
 
-    def __new__(cls, atoms: Iterable[Atom] = (), backend: str | None = None):
-        # ``Database(backend="columnar")`` dispatches to the columnar
-        # subclass (see repro.data.columnar); subclasses constructed
-        # directly are never redirected.
-        if cls is Database and backend is not None and backend != "rows":
-            if backend == "columnar":
-                from .columnar import ColumnarDatabase
-
-                return super().__new__(ColumnarDatabase)
+    def __init__(self, atoms: Iterable[Atom] = (), backend: str | None = None):
+        if backend not in _BACKEND_NAMES:
             raise ValueError(
                 f"unknown storage backend {backend!r}; expected 'rows' or 'columnar'"
             )
-        return super().__new__(cls)
-
-    def __init__(self, atoms: Iterable[Atom] = (), backend: str | None = None):
         self._relations: dict[str, set[tuple]] = {}
         self._arities: dict[str, int] = {}
         self._indexes: dict[str, PredicateIndex] = {}
@@ -75,45 +70,15 @@ class Database:
         for atom in atoms:
             self.add(atom)
 
-    # -- backend contract ------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Storage backend name (``"rows"`` here; ``"columnar"`` in the
-        columnar subclass).  Part of the contract in ``docs/STORAGE.md``."""
-        return "rows"
-
-    def store_term(self, value):
-        """One ground value in this backend's storage representation.
-
-        Identity on the row backend; the columnar backend interns Terms
-        to dense ints (and passes already-encoded ints through).
-        """
-        return value
-
-    def store_row(self, row: tuple) -> tuple:
-        """A whole row in storage representation (identity here)."""
-        return row
-
-    def adapt_atom(self, atom: Atom) -> Atom:
-        """*atom* with its ground arguments in storage representation,
-        usable as a match pattern against rows of this database."""
-        return atom
-
-    def decode_row(self, row: tuple) -> tuple:
-        """A stored row decoded back to Terms (identity here)."""
-        return row
-
     def symbol_cardinality(self) -> int:
-        """Distinct interned constants, or 0 when the backend does not
-        intern (the cost model falls back to per-relation statistics)."""
+        """Always 0: constants are stored as terms, never interned (kept
+        for callers that still read it)."""
         return 0
 
     def approximate_bytes(self) -> int:
-        """Backend-honest memory estimate (see the resource governor).
-
-        Row backend: tuple header + per-slot pointer + an amortized
-        share of the Term objects, per stored row.
-        """
+        """Memory estimate for the resource governor: tuple header +
+        per-slot pointer + an amortized share of the Term objects, per
+        stored row."""
         total = 0
         for pred, rows in self._relations.items():
             total += len(rows) * (56 + self._arities[pred] * 56)
@@ -215,14 +180,10 @@ class Database:
     def update(self, other: "Database") -> int:
         """Union-in another database; return the number of new atoms.
 
-        Same-backend unions are **bulk**, one set difference per
-        predicate instead of an :meth:`_add_row` call per row (the
-        semi-naive end-of-round commit moves whole deltas this way); across
-        backends the atoms are decoded and re-encoded through
-        :meth:`add`.
+        The union is **bulk**, one set difference per predicate instead
+        of an :meth:`_add_row` call per row (the semi-naive end-of-round
+        commit moves whole deltas this way).
         """
-        if other.backend != self.backend:
-            return sum(1 for atom in other.atoms() if self.add(atom))
         added = 0
         for pred, rows in other._relations.items():
             if rows:
@@ -238,14 +199,10 @@ class Database:
     def subtract(self, other: "Database") -> int:
         """Remove another database's atoms; return how many were present.
 
-        The bulk twin of :meth:`discard`, mirroring :meth:`update`:
-        between two databases of one backend it is one set intersection
-        and one ``-=`` per predicate, and built indexes are maintained in
-        place rather than rebuilt; across backends the atoms are decoded
-        and discarded one by one.
+        The bulk twin of :meth:`discard`, mirroring :meth:`update`: one
+        set intersection and one ``-=`` per predicate, and built indexes
+        are maintained in place rather than rebuilt.
         """
-        if other.backend != self.backend:
-            return sum(1 for atom in other.atoms() if self.discard(atom))
         return sum(
             self._remove_rows(pred, rows)
             for pred, rows in other._relations.items()
@@ -253,13 +210,13 @@ class Database:
         )
 
     def _union_rows(self, predicate: str, rows) -> int:
-        """Bulk ``_add_row`` of another same-backend database's *rows* (of
-        the arity already recorded); returns how many were new."""
+        """Bulk ``_add_row`` of another database's *rows* (of the arity
+        already recorded); returns how many were new."""
         return self._insert_rows(predicate, rows)
 
     def _insert_rows(self, predicate: str, rows) -> int:
-        """Add a set of storage rows of the recorded arity; returns how
-        many were new.  Below the seams (see the class docstring)."""
+        """Add a set of rows of the recorded arity; returns how many were
+        new.  Below the seams (see the class docstring)."""
         relation = self._relations.setdefault(predicate, set())
         fresh = rows - relation
         relation |= fresh
@@ -271,8 +228,8 @@ class Database:
         return len(fresh)
 
     def _remove_rows(self, predicate: str, rows) -> int:
-        """Remove an iterable of storage rows; returns how many were
-        present.  Below the seams (see the class docstring)."""
+        """Remove an iterable of rows; returns how many were present.
+        Below the seams (see the class docstring)."""
         relation = self._relations.get(predicate)
         if not relation:
             return 0
@@ -290,8 +247,8 @@ class Database:
         return self.contains_tuple(atom.predicate, atom.args)
 
     def contains_tuple(self, predicate: str, row: tuple) -> bool:
-        """Membership of a row (either representation): the seam every
-        membership test goes through, ``atom in db`` included."""
+        """Membership of a row: the seam every membership test goes
+        through, ``atom in db`` included."""
         rows = self._relations.get(predicate)
         return rows is not None and row in rows
 
@@ -304,8 +261,6 @@ class Database:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        if other.backend != self.backend:
-            return self.as_atom_set() == other.as_atom_set()
         mine = {p: rows for p, rows in self._relations.items() if rows}
         theirs = {p: rows for p, rows in other._relations.items() if rows}
         return mine == theirs
@@ -354,8 +309,6 @@ class Database:
 
     def difference(self, other: "Database") -> frozenset[Atom]:
         """Atoms in ``self`` but not in *other*."""
-        if other.backend != self.backend:
-            return frozenset(a for a in self.atoms() if a not in other)
         out: set[Atom] = set()
         for pred, rows in self._relations.items():
             other_rows = other._relations.get(pred, set())
@@ -365,8 +318,6 @@ class Database:
         return frozenset(out)
 
     def issubset(self, other: "Database") -> bool:
-        if other.backend != self.backend:
-            return all(a in other for a in self.atoms())
         for pred, rows in self._relations.items():
             if rows and not rows <= other._relations.get(pred, set()):
                 return False

@@ -54,8 +54,8 @@ any sub-enumeration, which is what makes the semi-naive engine beat
 naive on rules with redundant existential atoms instead of losing 5× to
 it.
 
-**Rows out, not Atoms.**  :meth:`JoinKernel.run` returns head *rows* in
-the database's storage representation.  The engines test them for
+**Rows out, not Atoms.**  :meth:`JoinKernel.run` returns head *rows*
+(tuples of Terms).  The engines test them for
 novelty with ``contains_tuple``, insert them with ``_add_row`` and union
 whole deltas in bulk (``Database.update``); an ``Atom`` is built only at
 the output boundary (``atoms()``, ``atoms_for``, result documents).
@@ -181,8 +181,7 @@ class JoinKernel:
         #: Slot array -> head row (see :func:`_projection`).  A run's
         #: slot array starts as *slot_template*: one ``None`` per
         #: variable, then the ground terms of the head and the negated
-        #: literals in storage representation, so a projection never
-        #: mixes slot numbers with storage-encoded int constants.
+        #: literals.
         self.project = project
         self.slot_template = slot_template
         self.steps = steps
@@ -223,8 +222,7 @@ class JoinKernel:
     ) -> set[tuple]:
         """All head rows derivable through this kernel.
 
-        The rows are in *db*'s storage representation (tuples of Terms
-        on the row backend, of interned ints on columnar) and belong to
+        The rows are tuples of Terms and belong to
         :attr:`head_predicate`; callers test novelty with
         ``contains_tuple`` and insert with ``_add_row``, so no ``Atom``
         is built between the join and the insert.
@@ -467,10 +465,6 @@ def compile_kernel(
         if not body[delta_position].positive:
             raise ValueError("the delta-pinned body literal must be positive")
     head_vars = frozenset(head.variables())
-    # Ground terms are compiled into *db*'s storage representation
-    # (identity on the row backend, interned ints on columnar), so the
-    # hot loop's equality checks and index probes never touch Terms.
-    store = db.store_term
     if order is None:
         order = plan_order(
             body, db, prefer_vars=head_vars, first=delta_position, hints=hints
@@ -493,7 +487,7 @@ def compile_kernel(
                 indices.append(slot_of[term])
             else:
                 indices.append(n_slots + len(constants))
-                constants.append(store(term))
+                constants.append(term)
         return _projection(indices)
 
     steps: list[_Step] = []
@@ -530,7 +524,7 @@ def compile_kernel(
             fresh_here: set[Variable] = set()
             for pos, term in enumerate(atom.args):
                 if not isinstance(term, Variable):
-                    const_bound[pos] = store(term)
+                    const_bound[pos] = term
                 elif term in fresh_here:
                     # Repeated within this atom, first bound here: the
                     # index cannot enforce it, check per row.
@@ -664,9 +658,9 @@ class KernelCache:
     A kernel's join order is planned against the database the cache is
     bound to when the kernel is first needed (:meth:`bind` moves it) and
     then kept: an order only changes how many subgoals are tried, never
-    which rows a kernel derives.  Sharing across databases is sound on
-    the row backend, whose ``store_term`` is the identity, so compiled
-    constants mean the same thing in every database.
+    which rows a kernel derives.  Sharing across databases is sound
+    because compiled constants are the terms themselves, which mean the
+    same thing in every database.
 
     *hint_provider* supplies static per-predicate size estimates (a
     ``() -> dict[str, int]``, typically closing over

@@ -32,53 +32,37 @@ DEFAULT_SELECTIVITY = 1.0
 
 @dataclass(frozen=True)
 class PredicateStatistics:
-    """Cardinality and per-position distinct counts for one predicate.
-
-    *domain* is the size of the backend's interned-constant universe
-    (:meth:`~repro.data.database.Database.symbol_cardinality`; 0 when
-    the backend does not intern).  It refines the no-information guard
-    of :meth:`selectivity`: a position with no recorded distinct counts
-    can still assume values are spread over the interned domain, which
-    keeps the estimates consistent with the absint interval hints on
-    the columnar path instead of defaulting to "filters nothing".
-    """
+    """Cardinality and per-position distinct counts for one predicate."""
 
     predicate: str
     cardinality: int
     distinct: tuple[int, ...]  # distinct values per argument position
-    domain: int = 0
 
     def selectivity(self, position: int) -> float:
         """Estimated fraction of rows matching one value at *position*.
 
         An empty relation (or a position whose distinct count is zero)
-        supports no estimate at all; both fall back to the interned
-        domain size when the backend exposes one, and to
-        :data:`DEFAULT_SELECTIVITY` otherwise -- never a division by
-        zero or a silent 0.0 that would collapse every downstream
-        product.  Callers that care about emptiness test
-        ``cardinality`` directly (as :func:`estimate_rule` does before
-        multiplying).
+        supports no estimate at all; both fall back to
+        :data:`DEFAULT_SELECTIVITY` -- never a division by zero or a
+        silent 0.0 that would collapse every downstream product.
+        Callers that care about emptiness test ``cardinality`` directly
+        (as :func:`estimate_rule` does before multiplying).
         """
-        if self.cardinality == 0:
-            return 1.0 / self.domain if self.domain else DEFAULT_SELECTIVITY
-        d = self.distinct[position]
-        if d:
-            return 1.0 / d
-        return 1.0 / self.domain if self.domain else DEFAULT_SELECTIVITY
+        if self.cardinality == 0 or not self.distinct[position]:
+            return DEFAULT_SELECTIVITY
+        return 1.0 / self.distinct[position]
 
 
 def collect_statistics(db: Database) -> dict[str, PredicateStatistics]:
     """Scan *db* once and summarize every stored predicate."""
     stats: dict[str, PredicateStatistics] = {}
-    domain = db.symbol_cardinality()
     for pred in db.predicates:
         rows = db.tuples(pred)
         arity = db.arity(pred)
         distinct = tuple(
             len({row[i] for row in rows}) for i in range(arity)
         )
-        stats[pred] = PredicateStatistics(pred, len(rows), distinct, domain)
+        stats[pred] = PredicateStatistics(pred, len(rows), distinct)
     return stats
 
 

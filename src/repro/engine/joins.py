@@ -230,11 +230,8 @@ def match_body(
 
         *guaranteed* is the bound-position map the row was probed with:
         ``candidates`` guarantees those positions match, so they are
-        skipped here.  (Besides saving re-checks, this keeps the
-        reference path backend-agnostic -- on the columnar backend the
-        guaranteed positions hold Terms while rows hold interned ints.)
-        Every remaining position is an unbound-or-repeated variable;
-        values bound from rows stay in the backend's representation.
+        skipped here.  Every remaining position is an unbound-or-repeated
+        variable.
 
         Returns the newly bound variables (to undo later), or ``None``
         on mismatch (nothing left bound).

@@ -33,7 +33,7 @@ from ..lang.atoms import Atom, Literal
 from ..lang.canonical import canonical_program_key
 from ..lang.programs import Program
 from ..lang.rules import Rule
-from ..lang.terms import Term, Variable
+from ..lang.terms import Variable
 from ..obs.tracer import trace
 from ..resilience.governor import ResourceGovernor
 from .fixpoint import EngineName, EvaluationResult, evaluate
@@ -199,13 +199,10 @@ class MagicRewriting:
         """
         from ..lang.substitution import match_atom
 
-        # Match in the backend's storage representation, decode at
-        # this output boundary: answers are always plain Term rows.
-        pattern = computed.adapt_atom(self.query_atom)
         out = Database()
         for row in computed.tuples(self.adorned_query_predicate):
-            if match_atom(pattern, Atom(self.query_atom.predicate, row)) is not None:
-                out._add_row(self.query_atom.predicate, computed.decode_row(row))
+            if match_atom(self.query_atom, Atom(self.query_atom.predicate, row)) is not None:
+                out._add_row(self.query_atom.predicate, row)
         return out
 
 
@@ -393,7 +390,7 @@ def answer_query(
             i: t for i, t in enumerate(query.args) if not isinstance(t, Variable)
         }
         for row in db.candidates(query.predicate, bound) if db.count(query.predicate) else ():
-            answers._add_row(query.predicate, db.decode_row(row))
+            answers._add_row(query.predicate, row)
         return answers, EvaluationResult(db.copy(), _empty_stats())
 
     with trace("magic.answer_query", query=str(query)) as span:

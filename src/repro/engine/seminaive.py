@@ -21,8 +21,8 @@ The default execution path runs compiled :class:`~repro.engine.compile.JoinKerne
 programs (one per rule/delta-position variant, cached across rounds);
 ``use_compiled=False`` keeps the original
 :func:`~repro.engine.joins.fire_rule` reference path for differential
-testing.  Either way a round handles head *rows* in storage
-representation: novelty by ``contains_tuple``, insertion by
+testing.  Either way a round handles head *rows* (tuples of Terms):
+novelty by ``contains_tuple``, insertion by
 ``_add_row``, and the end-of-round commit (``snapshot ∪= Δ``,
 ``full ∪= Δ'``) is one bulk union per predicate; no ``Atom`` is built
 inside the loop.
@@ -194,7 +194,7 @@ def seminaive_fixpoint(
                             # Every membership test, then every insert:
                             # the seam counts at any point then do not
                             # depend on the order a set yields its rows,
-                            # so a FaultPlan fires alike on both backends.
+                            # so a FaultPlan fires at fixed positions.
                             head = rule.head.predicate
                             known = full.contains_tuple
                             for row in [r for r in derived if not known(head, r)]:
@@ -276,7 +276,7 @@ def _run_delta_kernels(
     positions: tuple[int, ...] | None = None,
 ) -> set[tuple]:
     """Union of the rule's delta-variants under the textbook discipline,
-    as head rows in storage representation."""
+    as head rows."""
     derived: set[tuple] = set()
     if positions is None:
         positions = delta_variant_positions(rule.head, rule.body)

@@ -52,21 +52,14 @@ class Call:
         return f"{self.predicate}({inner})"
 
 
-def _call_for(atom: Atom, bindings: dict[Variable, Term], db: Database) -> Call:
-    """The call induced by *atom* under *bindings*.
-
-    Patterns (like table rows and binding values) are kept in *db*'s
-    storage representation -- identity Terms on the row backend,
-    interned ints on columnar -- so all comparisons below stay
-    representation-consistent.
-    """
-    store = db.store_term
+def _call_for(atom: Atom, bindings: dict[Variable, Term]) -> Call:
+    """The call induced by *atom* under *bindings*."""
     pattern: list = []
     for term in atom.args:
         if isinstance(term, Variable):
             pattern.append(bindings.get(term))
         else:
-            pattern.append(store(term))
+            pattern.append(term)
     return Call(atom.predicate, tuple(pattern))
 
 
@@ -122,7 +115,7 @@ def tabled_query(
     idb = program.idb_predicates
 
     tables: dict[Call, set[tuple]] = {}
-    root = _call_for(query, {}, db)
+    root = _call_for(query, {})
     _register(tables, root)
     status = EvaluationStatus.COMPLETE
     degradation = None
@@ -166,11 +159,10 @@ def tabled_query(
     # enforced here.
     from ..lang.substitution import match_atom
 
-    pattern = db.adapt_atom(query)
     answers = Database()
     for row in tables[root]:
-        if match_atom(pattern, Atom(query.predicate, row)) is not None:
-            answers._add_row(query.predicate, db.decode_row(row))
+        if match_atom(query, Atom(query.predicate, row)) is not None:
+            answers._add_row(query.predicate, row)
     stats.stop()
     return TabledResult(
         answers=answers,
@@ -254,7 +246,7 @@ def _solve_call(
                 elif existing != bound:
                     consistent = False
                     break
-            elif db.store_term(term) != bound:
+            elif term != bound:
                 consistent = False
                 break
         if not consistent:
@@ -281,7 +273,7 @@ def _solve_body(
     if depth == len(rule.body):
         head = rule.head.substitute(bindings)
         stats.rule_firings += 1
-        row = db.store_row(head.args)
+        row = head.args
         table = tables[call]
         if _matches_pattern(row, call.pattern) and row not in table:
             table.add(row)
@@ -298,7 +290,7 @@ def _solve_body(
         governor.tick()
     grew = False
     if atom.predicate in idb:
-        subcall = _call_for(atom, bindings, db)
+        subcall = _call_for(atom, bindings)
         _register(tables, subcall)
         rows = list(tables[subcall])
     else:
@@ -312,13 +304,10 @@ def _solve_body(
                 bound[position] = term
         rows = db.candidates(atom.predicate, bound)
 
-    # Compare in storage representation (constants encoded once here,
-    # not per row).
-    adapted_args = db.adapt_atom(atom).args
     for row in rows:
         added: list[Variable] = []
         ok = True
-        for position, term in enumerate(adapted_args):
+        for position, term in enumerate(atom.args):
             if isinstance(term, Variable):
                 value = bindings.get(term)
                 if value is None:

@@ -10,22 +10,14 @@ is deliberately simple and versioned:
 * a literal adds ``"neg": true`` when negated;
 * a rule is ``{"head": atom, "body": [literal, ...]}``;
 * a program is ``{"format": 1, "rules": [rule, ...]}``;
-* a database is format **2** and carries its storage backend:
+* a database is format **2**: ``{"format": 2, "backend": "rows",
+  "facts": {pred: [[term, ...], ...]}}``.
 
-  - ``{"format": 2, "backend": "rows",
-    "facts": {pred: [[term, ...], ...]}}`` for the row backend;
-  - ``{"format": 2, "backend": "columnar", "symbols": [term, ...],
-    "facts": {pred: [[i, ...], ...]}}`` for the columnar backend, where
-    each row is a list of indexes into ``symbols`` (a *local* dense
-    remap of the process-wide
-    :class:`~repro.data.columnar.SymbolTable`, assigned in row order so
-    the document is deterministic and independent of global intern
-    order).  Loading interns the symbols into the live table and stores
-    int rows directly, so a columnar database round-trips without
-    degrading to the row backend.
-
-  Format-1 database documents (no backend tag) are still read and
-  produce a row-backend database.
+  Two older database documents are still read, onto the same store:
+  format 1 (no ``backend`` tag), and format 2 tagged
+  ``"backend": "columnar"``, which versions with a second storage
+  backend wrote as ``"symbols": [term, ...]`` plus rows of indexes
+  into that list.
 
 Round-trip guarantees are covered by tests; unknown keys raise
 :class:`~repro.errors.ValidationError` so schema drift fails loudly.
@@ -48,7 +40,7 @@ from .terms import Constant, FrozenConstant, Null, Term, Variable
 FORMAT_VERSION = 1
 
 #: Database documents are versioned separately from programs: format 2
-#: added the ``backend`` tag and the columnar ``symbols`` section.
+#: added the ``backend`` tag.
 DATABASE_FORMAT_VERSION = 2
 
 
@@ -148,89 +140,44 @@ def program_from_json(text: str) -> Program:
 
 # -- databases ----------------------------------------------------------------------
 def database_to_dict(db: "Database") -> dict[str, Any]:
-    if db.backend == "columnar":
-        return _columnar_to_dict(db)
     facts: dict[str, list[list[dict[str, Any]]]] = {}
     for pred in sorted(db.predicates):
-        # decode_row: serialization is an output boundary -- columnar
-        # databases hand back Terms here, the row backend is identity.
-        rows = sorted(
-            (db.decode_row(row) for row in db.tuples(pred)),
-            key=lambda row: [str(t) for t in row],
-        )
+        rows = sorted(db.tuples(pred), key=lambda row: [str(t) for t in row])
         facts[pred] = [[term_to_dict(t) for t in row] for row in rows]
-    return {"format": DATABASE_FORMAT_VERSION, "backend": db.backend, "facts": facts}
-
-
-def _columnar_to_dict(db: "Database") -> dict[str, Any]:
-    """Columnar document: int rows over a local dense symbol list.
-
-    The local ids are assigned in (sorted) row order, so two databases
-    holding the same atoms serialize to the same document even when the
-    process-wide SymbolTable interned their constants in different
-    orders (e.g. an uninterrupted run vs. a resumed one).
-    """
-    symbols: list[dict[str, Any]] = []
-    local: dict[Any, int] = {}
-
-    def local_id(term) -> int:
-        ident = local.get(term)
-        if ident is None:
-            ident = len(symbols)
-            local[term] = ident
-            symbols.append(term_to_dict(term))
-        return ident
-
-    facts: dict[str, list[list[int]]] = {}
-    for pred in sorted(db.predicates):
-        rows = sorted(
-            (db.decode_row(row) for row in db.tuples(pred)),
-            key=lambda row: [str(t) for t in row],
-        )
-        facts[pred] = [[local_id(t) for t in row] for row in rows]
-    return {
-        "format": DATABASE_FORMAT_VERSION,
-        "backend": "columnar",
-        "symbols": symbols,
-        "facts": facts,
-    }
+    return {"format": DATABASE_FORMAT_VERSION, "backend": "rows", "facts": facts}
 
 
 def database_from_dict(data: dict[str, Any]) -> "Database":
     from ..data.database import Database
 
     version = data.get("format")
-    if version == FORMAT_VERSION:
-        # Legacy format-1 database document: rows backend, no tag.
-        backend = "rows"
-    elif version == DATABASE_FORMAT_VERSION:
-        backend = data.get("backend", "rows")
-        if backend not in ("rows", "columnar"):
-            raise ValidationError(f"unknown database backend {backend!r}")
-    else:
+    if version not in (FORMAT_VERSION, DATABASE_FORMAT_VERSION):
         raise ValidationError(
             f"unsupported serialization format {version!r}; this build reads "
             f"database formats {FORMAT_VERSION} and {DATABASE_FORMAT_VERSION}"
         )
-    db = Database(backend=backend)
-    if backend == "columnar":
-        # Intern the local symbol list into the live process-wide table;
-        # rows then store straight through as already-encoded ints.
-        interned = [db.store_term(term_from_dict(t)) for t in data.get("symbols", [])]
+    backend = data.get("backend", "rows") if version == DATABASE_FORMAT_VERSION else "rows"
+    if backend not in ("rows", "columnar"):
+        raise ValidationError(f"unknown database backend {backend!r}")
+    db = Database()
+    try:
+        # A legacy columnar document: rows list indexes into ``symbols``.
+        symbols = [term_from_dict(t) for t in data.get("symbols", [])]
         for pred, rows in data.get("facts", {}).items():
             for row in rows:
-                try:
-                    encoded = tuple(interned[i] for i in row)
-                except (IndexError, TypeError) as bad:
+                if backend == "rows":
+                    terms = tuple(term_from_dict(t) for t in row)
+                elif all(type(i) is int and 0 <= i < len(symbols) for i in row):
+                    terms = tuple(symbols[i] for i in row)
+                else:
                     raise ValidationError(
-                        f"columnar row {row!r} of {pred} references an unknown "
-                        f"symbol index"
-                    ) from bad
-                db._add_row(pred, encoded)
-        return db
-    for pred, rows in data.get("facts", {}).items():
-        for row in rows:
-            db._add_row(pred, tuple(term_from_dict(t) for t in row))
+                        f"columnar row {row!r} of {pred} references an unknown symbol index"
+                    )
+                if not all(t.is_ground for t in terms):
+                    raise ValidationError(f"row {row!r} of {pred} is not ground")
+                db._add_row(pred, terms)
+    except (AttributeError, TypeError, ValueError) as bad:
+        raise ValidationError(f"malformed database document: {bad}") from bad
     return db
 
 

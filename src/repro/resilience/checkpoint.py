@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ValidationError
 from ..lang.programs import Program
 from ..lang.serialize import (
     database_from_dict,
@@ -113,7 +113,6 @@ class Checkpoint:
 
     program: Program
     engine: str
-    backend: str
     database: "Database"
     round: Optional[int] = None
     delta: Optional["Database"] = None
@@ -128,7 +127,7 @@ class Checkpoint:
     def to_payload(self) -> dict[str, Any]:
         return {
             "engine": self.engine,
-            "backend": self.backend,
+            "backend": "rows",
             "round": self.round,
             "every": self.every,
             "fingerprint": self.fingerprint,
@@ -141,6 +140,10 @@ class Checkpoint:
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "Checkpoint":
         try:
+            # Files from versions with a second storage backend may say
+            # "columnar"; their databases load onto the one store.
+            if payload["backend"] not in ("rows", "columnar"):
+                raise CheckpointError(f"unknown storage backend {payload['backend']!r}")
             program = program_from_dict(payload["program"])
             database = database_from_dict(payload["database"])
             delta_doc = payload.get("delta")
@@ -148,7 +151,6 @@ class Checkpoint:
             return cls(
                 program=program,
                 engine=payload["engine"],
-                backend=payload["backend"],
                 database=database,
                 round=payload.get("round"),
                 delta=delta,
@@ -156,7 +158,7 @@ class Checkpoint:
                 every=int(payload.get("every", 1)),
                 fingerprint=payload.get("fingerprint", ""),
             )
-        except (KeyError, TypeError, ValueError) as bad:
+        except (KeyError, TypeError, ValueError, ValidationError) as bad:
             raise CheckpointError(f"malformed checkpoint payload: {bad}") from bad
 
     def resume_state(self) -> Optional[ResumeState]:
@@ -310,7 +312,6 @@ class CheckpointManager:
         checkpoint = Checkpoint(
             program=self.program,
             engine=self.engine,
-            backend=db.backend,
             database=db,
             round=round,
             delta=delta,

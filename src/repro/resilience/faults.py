@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..data.columnar import ColumnarDatabase
 from ..data.database import Database
 from ..errors import SimulatedCrash, TransientStorageError
 from ..obs.metrics import metrics_registry
@@ -136,14 +135,7 @@ class FaultPlan:
         return cls(plan_faults)
 
     def wrap(self, db: Database) -> "Database":
-        """A faulty view of *db* (copies the facts; shares this plan).
-
-        Dispatches on the database's storage backend, so columnar
-        inputs stay columnar under fault injection (the seams fire at
-        the same operation counts on either backend).
-        """
-        if db.backend == "columnar":
-            return FaultyColumnarDatabase.wrap(db, self)
+        """A faulty view of *db* (copies the facts; shares this plan)."""
         return FaultyDatabase.wrap(db, self)
 
     def before(self, operation: str) -> None:
@@ -202,12 +194,7 @@ class FaultyDatabase(Database):
         return new
 
     def copy(self) -> "FaultyDatabase":
-        new = FaultyDatabase(self._plan)
-        for pred, rows in self._relations.items():
-            new._arities[pred] = self._arities[pred]
-            new._relations[pred] = set(rows)
-            new._size += len(rows)
-        return new
+        return FaultyDatabase.wrap(self, self._plan)
 
     def empty_like(self) -> "FaultyDatabase":
         """Snapshots allocated during evaluation stay fault-wrapped."""
@@ -232,63 +219,3 @@ class FaultyDatabase(Database):
         for _ in rows:
             self._plan.before("add")
         return Database._union_rows(self, predicate, rows)
-
-
-class FaultyColumnarDatabase(ColumnarDatabase):
-    """The columnar twin of :class:`FaultyDatabase`.
-
-    Same intercepted seams, same plan-sharing ``copy()`` /
-    ``empty_like()`` discipline; the underlying storage is the
-    interned-int columnar layout.
-    """
-
-    __slots__ = ("_plan",)
-
-    def __init__(self, plan: FaultPlan, atoms=()):  # noqa: D107
-        self._plan = plan
-        ColumnarDatabase.__init__(self, atoms)
-
-    @classmethod
-    def wrap(cls, db: ColumnarDatabase, plan: FaultPlan) -> "FaultyColumnarDatabase":
-        new = cls(plan)
-        new._table = db._table
-        for pred, rel in db._relations.items():
-            new._arities[pred] = db._arities[pred]
-            new._relations[pred] = rel.copy()
-            new._size += len(rel)
-        return new
-
-    def copy(self) -> "FaultyColumnarDatabase":
-        new = FaultyColumnarDatabase(self._plan)
-        new._table = self._table
-        for pred, rel in self._relations.items():
-            new._arities[pred] = self._arities[pred]
-            new._relations[pred] = rel.copy()
-            new._size += len(rel)
-        return new
-
-    def empty_like(self) -> "FaultyColumnarDatabase":
-        """Snapshots allocated during evaluation stay fault-wrapped."""
-        new = FaultyColumnarDatabase(self._plan)
-        new._table = self._table
-        return new
-
-    # -- intercepted seams -----------------------------------------------------
-    def _add_row(self, predicate: str, row: tuple) -> bool:
-        self._plan.before("add")
-        return ColumnarDatabase._add_row(self, predicate, row)
-
-    def candidates(self, predicate: str, bound: Mapping[int, object]):
-        self._plan.before("candidates")
-        return ColumnarDatabase.candidates(self, predicate, bound)
-
-    def contains_tuple(self, predicate: str, row: tuple) -> bool:
-        self._plan.before("contains")
-        return ColumnarDatabase.contains_tuple(self, predicate, row)
-
-    def _union_rows(self, predicate: str, rows) -> int:
-        # The bulk union still is one "add" per row: a plan position
-        # addresses the same row as when they were inserted one by one.
-        for _ in rows:
-            self._plan.before("add")
-        return ColumnarDatabase._union_rows(self, predicate, rows)

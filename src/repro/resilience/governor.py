@@ -125,14 +125,12 @@ class CancellationToken:
 def approximate_database_bytes(db: Any) -> int:
     """A cheap upper-ish estimate of a database's memory footprint.
 
-    Walks relation *counts* only (never the tuples themselves).
-    Backends that know their own layout report through
-    ``db.approximate_bytes()`` -- the row backend costs each stored row
-    as a tuple header plus per-slot pointers plus an amortized share of
-    the interned Term objects, the columnar backend costs its int
-    columns (see ``docs/STORAGE.md``), so a memory cap genuinely
-    distinguishes the two.  Deliberately coarse -- the cap is a
-    tripwire against runaway growth, not an accountant.
+    Walks relation *counts* only (never the tuples themselves).  A
+    :class:`~repro.data.database.Database` reports through
+    ``db.approximate_bytes()``, which costs each stored row as a tuple
+    header plus per-slot pointers plus an amortized share of the Term
+    objects (see ``docs/STORAGE.md``).  Deliberately coarse -- the cap
+    is a tripwire against runaway growth, not an accountant.
     """
     estimate = getattr(db, "approximate_bytes", None)
     if estimate is not None:

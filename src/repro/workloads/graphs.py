@@ -6,11 +6,6 @@ All generators are deterministic given their arguments (random ones
 take an explicit ``seed``), return a fresh
 :class:`~repro.data.database.Database`, and store edges in a binary
 predicate (default ``A``, the paper's edge relation).
-
-Every generator accepts a ``backend`` keyword (``"rows"`` default,
-``"columnar"``) and builds the database on that storage backend
-directly -- a million-fact EDB is generated straight into interned-int
-columns instead of being built row-wise and converted.
 """
 
 from __future__ import annotations
@@ -21,34 +16,34 @@ from typing import Iterable
 from ..data.database import Database
 
 
-def chain(n: int, predicate: str = "A", offset: int = 0, backend: str = "rows") -> Database:
+def chain(n: int, predicate: str = "A", offset: int = 0) -> Database:
     """A path ``offset -> offset+1 -> ... -> offset+n`` (n edges)."""
-    db = Database(backend=backend)
+    db = Database()
     for i in range(n):
         db.add_fact(predicate, offset + i, offset + i + 1)
     return db
 
 
-def cycle(n: int, predicate: str = "A", backend: str = "rows") -> Database:
+def cycle(n: int, predicate: str = "A") -> Database:
     """A directed cycle over ``n`` nodes (n edges)."""
     if n < 1:
-        return Database(backend=backend)
-    db = chain(n - 1, predicate, backend=backend)
+        return Database()
+    db = chain(n - 1, predicate)
     db.add_fact(predicate, n - 1, 0)
     return db
 
 
-def star(n: int, predicate: str = "A", center: int = 0, backend: str = "rows") -> Database:
+def star(n: int, predicate: str = "A", center: int = 0) -> Database:
     """Edges from one center to ``n`` leaves."""
-    db = Database(backend=backend)
+    db = Database()
     for i in range(1, n + 1):
         db.add_fact(predicate, center, center + i)
     return db
 
 
-def complete(n: int, predicate: str = "A", backend: str = "rows") -> Database:
+def complete(n: int, predicate: str = "A") -> Database:
     """All ``n·(n-1)`` directed edges between distinct nodes."""
-    db = Database(backend=backend)
+    db = Database()
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -57,14 +52,14 @@ def complete(n: int, predicate: str = "A", backend: str = "rows") -> Database:
 
 
 def random_graph(
-    n: int, m: int, seed: int, predicate: str = "A", backend: str = "rows"
+    n: int, m: int, seed: int, predicate: str = "A"
 ) -> Database:
     """``m`` distinct random directed edges over ``n`` nodes (no loops)."""
     rng = random.Random(seed)
     limit = n * (n - 1)
     if m > limit:
         raise ValueError(f"cannot place {m} distinct edges on {n} nodes (max {limit})")
-    db = Database(backend=backend)
+    db = Database()
     placed = 0
     seen: set[tuple[int, int]] = set()
     while placed < m:
@@ -83,7 +78,6 @@ def single_source(
     seed: int,
     predicate: str = "A",
     source_predicate: str = "S",
-    backend: str = "rows",
 ) -> Database:
     """``n`` random edges over ``max(2, n // 10)`` nodes plus ``S(0)``.
 
@@ -96,26 +90,26 @@ def single_source(
     """
     rng = random.Random(seed)
     nodes = max(2, n // 10)
-    db = Database(backend=backend)
+    db = Database()
     db.add_fact(source_predicate, 0)
     for _ in range(n):
         db.add_fact(predicate, rng.randrange(nodes), rng.randrange(nodes))
     return db
 
 
-def random_tree(n: int, seed: int, predicate: str = "A", backend: str = "rows") -> Database:
+def random_tree(n: int, seed: int, predicate: str = "A") -> Database:
     """A random parent->child tree over nodes ``0..n-1`` (root 0)."""
     rng = random.Random(seed)
-    db = Database(backend=backend)
+    db = Database()
     for child in range(1, n):
         parent = rng.randrange(child)
         db.add_fact(predicate, parent, child)
     return db
 
 
-def grid(width: int, height: int, predicate: str = "A", backend: str = "rows") -> Database:
+def grid(width: int, height: int, predicate: str = "A") -> Database:
     """Right/down edges over a ``width × height`` grid (node = y*width+x)."""
-    db = Database(backend=backend)
+    db = Database()
     for y in range(height):
         for x in range(width):
             node = y * width + x
@@ -128,11 +122,10 @@ def grid(width: int, height: int, predicate: str = "A", backend: str = "rows") -
 
 def layered_dag(
     layers: int, width: int, fanout: int, seed: int, predicate: str = "A",
-    backend: str = "rows",
 ) -> Database:
     """A DAG of ``layers`` layers of ``width`` nodes, ``fanout`` edges each."""
     rng = random.Random(seed)
-    db = Database(backend=backend)
+    db = Database()
     for layer in range(layers - 1):
         for position in range(width):
             node = layer * width + position
@@ -142,20 +135,16 @@ def layered_dag(
     return db
 
 
-def unary_marks(nodes: Iterable[int], predicate: str = "C", backend: str = "rows") -> Database:
+def unary_marks(nodes: Iterable[int], predicate: str = "C") -> Database:
     """Unary facts ``C(n)`` for each node (Example 19's ``C`` relation)."""
-    db = Database(backend=backend)
+    db = Database()
     for node in nodes:
         db.add_fact(predicate, node)
     return db
 
 
 def merged(*dbs: Database) -> Database:
-    """The union of several databases as a new database.
-
-    The result lives on the first input's backend (same-backend inputs
-    union raw rows; a mixed-backend union decodes at the boundary).
-    """
+    """The union of several databases as a new database."""
     out = dbs[0].empty_like() if dbs else Database()
     for db in dbs:
         out.update(db)

@@ -54,8 +54,8 @@ def reachability() -> Program:
     The IDB stays linear in the number of reachable *nodes* (not node
     pairs), which is what lets the million-fact storage workload
     (``reach/random``) run to fixpoint -- the working set is dominated
-    by the EDB, so the backends' byte-per-fact footprints are what a
-    memory cap actually measures.
+    by the EDB, so its byte-per-fact footprint is what a memory cap
+    actually measures.
     """
     return parse_program(
         """
@@ -171,12 +171,12 @@ def andersen() -> Program:
     )
 
 
-def pointer_statements(statements: int, variables: int, seed: int, backend: str = "rows"):
+def pointer_statements(statements: int, variables: int, seed: int):
     """A random straight-line pointer program as an EDB for :func:`andersen`."""
     from ..data.database import Database
 
     rng = random.Random(seed)
-    db = Database(backend=backend)
+    db = Database()
     for _ in range(statements):
         kind = rng.random()
         p = f"v{rng.randrange(variables)}"

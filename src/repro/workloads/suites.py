@@ -23,9 +23,8 @@ from . import graphs, programs
 class Workload:
     """A named (program, EDB generator) pairing for benchmarking.
 
-    ``edb`` takes the size parameter plus a ``backend`` keyword and
-    generates the extensional database directly on that storage
-    backend.
+    ``edb`` takes the size parameter and generates the extensional
+    database.
     """
 
     name: str
@@ -37,19 +36,19 @@ class Workload:
     expected_minimal: Optional[Program] = None
 
 
-def _tc_edb_chain(n: int, backend: str = "rows") -> Database:
-    return graphs.chain(n, backend=backend)
+def _tc_edb_chain(n: int) -> Database:
+    return graphs.chain(n)
 
 
-def _tc_edb_random(n: int, backend: str = "rows") -> Database:
+def _tc_edb_random(n: int) -> Database:
     # Edge count ~2n keeps the closure quadratic but tractable.
-    return graphs.random_graph(n, 2 * n, seed=7, backend=backend)
+    return graphs.random_graph(n, 2 * n, seed=7)
 
 
-def _ex19_edb(n: int, backend: str = "rows") -> Database:
+def _ex19_edb(n: int) -> Database:
     return graphs.merged(
-        graphs.chain(n, backend=backend),
-        graphs.unary_marks(range(n + 1), backend=backend),
+        graphs.chain(n),
+        graphs.unary_marks(range(n + 1)),
     )
 
 
@@ -169,9 +168,9 @@ def magic_tc_workload() -> Workload:
 def andersen_workload() -> Workload:
     """Domain workload: Andersen points-to over random pointer programs."""
 
-    def edb(n: int, backend: str = "rows") -> Database:
+    def edb(n: int) -> Database:
         return programs.pointer_statements(
-            statements=n, variables=max(4, n // 8), seed=23, backend=backend
+            statements=n, variables=max(4, n // 8), seed=23
         )
 
     return Workload(
@@ -185,9 +184,9 @@ def andersen_workload() -> Workload:
 def same_generation_workload() -> Workload:
     """Domain workload: same-generation over a random tree + person marks."""
 
-    def edb(n: int, backend: str = "rows") -> Database:
-        tree = graphs.random_tree(n, seed=11, predicate="Par", backend=backend)
-        people = graphs.unary_marks(range(n), predicate="Per", backend=backend)
+    def edb(n: int) -> Database:
+        tree = graphs.random_tree(n, seed=11, predicate="Par")
+        people = graphs.unary_marks(range(n), predicate="Per")
         return graphs.merged(tree, people)
 
     return Workload(
@@ -202,14 +201,12 @@ def reach_workload() -> Workload:
     """The million-fact storage workload: single-source reachability.
 
     The IDB (reachable nodes) is tiny next to the EDB (random edges),
-    so evaluation cost is storage cost: under a governed memory cap
-    between the two footprints the interned-int columnar backend
-    completes while the row backend's per-tuple Term overhead trips the
-    cap and degrades to ``PARTIAL``.
+    so evaluation cost is storage cost: parsing, inserting and indexing
+    the EDB, not the join loop.
     """
 
-    def edb(n: int, backend: str = "rows") -> Database:
-        return graphs.single_source(n, seed=5, backend=backend)
+    def edb(n: int) -> Database:
+        return graphs.single_source(n, seed=5)
 
     return Workload(
         name="reach/random",

@@ -3,7 +3,7 @@
 Covers the certificate schema (pinned to version 1), the advisor's
 recommendations, the differential property that executing a recommended
 plan matches the semi-naive reference (including under a tripping
-governor and on both storage backends), the certificate fast path
+governor and on a database read from a legacy columnar document), the certificate fast path
 (``query --certificate`` skips analysis), and the two specialization
 lint rules.
 """
@@ -44,6 +44,8 @@ from repro.lang.terms import Constant, Variable
 from repro.obs.metrics import metrics_registry
 from repro.resilience.governor import EvaluationStatus, ResourceGovernor
 from repro.testing import random_database, random_program
+
+from .legacy import on_backend
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -233,7 +235,7 @@ class TestExecutePlanDifferential:
         plan = advise_form(program, QueryForm(predicate, Adornment((True, False)), query))
         results = {}
         for backend in ("rows", "columnar"):
-            db = Database(atoms, backend=backend)
+            db = on_backend(Database(atoms), backend)
             answers, _ = execute_plan(program, db, query, plan)
             assert answers == self.reference(program, db, query)
             results[backend] = {str(a) for a in answers.atoms()}

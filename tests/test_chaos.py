@@ -17,14 +17,15 @@ A fourth invariant rides the ``crash`` seam
 (:class:`TestCrashRecoverySweep`): an evaluation killed mid-round at a
 seeded checkpoint-write stage is resumed from the latest durable
 generation and converges to the **bitwise-identical** final database --
-across every fixpoint engine, both storage backends, and with the
-latest generation deliberately corrupted (checksum fallback).
+across every fixpoint engine, on an input read from a legacy columnar
+document too, and with the latest generation deliberately corrupted
+(checksum fallback).
 
 A fifth covers incremental maintenance
 (:class:`TestViewMaintenanceChaos`): on a fault-wrapped
 ``MaterializedView``, each insert/delete batch either equals
 recomputation or fails typed and leaves the view and its base
-untouched, on both storage backends.
+untouched, on a base read from a legacy columnar document too.
 
 Every schedule is derived from a seed, so any failure here replays
 bit-for-bit from the parameters in the test id.
@@ -51,6 +52,8 @@ from repro.resilience import (
     RetryPolicy,
     corrupt_checkpoint,
 )
+
+from .legacy import on_backend
 
 TC = parse_program(
     """
@@ -177,14 +180,12 @@ class TestFaultsComposeWithGovernance:
 
 
 FIXPOINT_ENGINES = ("naive", "seminaive", "stratified")
+#: ``columnar``: the input is read back from its legacy columnar document.
 BACKENDS = ("rows", "columnar")
 
 
 def backend_chain(n: int, backend: str) -> Database:
-    db = Database(backend=backend)
-    for i in range(n):
-        db.add_fact("E", i, i + 1)
-    return db
+    return on_backend(Database.from_facts({"E": [(i, i + 1) for i in range(n)]}), backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -265,9 +266,10 @@ class TestViewMaintenanceChaos:
 
     def test_each_batch_is_exact_or_leaves_no_trace(self, backend, seed):
         rng = random.Random(seed)
-        edb = Database(backend=backend)
+        edb = Database()
         for _ in range(14):  # 14 random edges on 8 nodes: cycles included
             edb.add_fact("E", rng.randrange(8), rng.randrange(8))
+        edb = on_backend(edb, backend)
         plan = FaultPlan.seeded(
             seed=seed,
             operations=("candidates", "add", "contains"),

@@ -23,12 +23,18 @@ class TestChaseDriver:
         assert outcome.database.count("G") == 6
 
     def test_tgds_only(self):
-        tgd = parse_tgd("G(x, y) -> A(x, w)")
-        db = Database.from_facts({"G": [(1, 2)]})
-        outcome = chase(db, None, [tgd])
-        assert outcome.saturated
-        assert outcome.database.count("A") == 1
-        assert satisfies_all(outcome.database, [tgd])
+        cases = [
+            ("G(x, y) -> A(x, w)", {"G": [(1, 2)]}, "A", 1),
+            # Once raised KeyError on an interning storage backend: the
+            # deterministic-output sorts met storage ints, not terms.
+            ("E(x, y) -> F(y, z)", {"E": [(1, 2), (2, 3)]}, "F", 2),
+        ]
+        for text, facts, produced, count in cases:
+            tgd = parse_tgd(text)
+            outcome = chase(Database.from_facts(facts), None, [tgd])
+            assert outcome.saturated
+            assert outcome.database.count(produced) == count
+            assert satisfies_all(outcome.database, [tgd])
 
     def test_input_not_mutated(self, tc, ex2_edb):
         before = len(ex2_edb)

@@ -11,8 +11,9 @@ The contract under test (see ``repro.resilience.checkpoint``):
    the damaged generation and falls back to the previous one.
 3. **Resume equivalence** -- continuing an interrupted fixpoint from a
    checkpoint converges to exactly the uninterrupted model (bitwise on
-   the canonical serialization), for every generation, both storage
-   backends, and every fixpoint engine.
+   the canonical serialization), for every generation and every
+   fixpoint engine, also from files as versions with a ``columnar``
+   storage backend wrote them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from repro.resilience import (
     resume_evaluation,
 )
 
+from .legacy import HERE as LEGACY
+from .legacy import columnar_checkpoint, write_sealed
+
 TC = parse_program(
     """
     T(x, y) :- E(x, y).
@@ -46,21 +50,23 @@ TC = parse_program(
     """
 )
 FIXPOINT_ENGINES = ("naive", "seminaive", "stratified")
+#: ``columnar``: the checkpoint files are rewritten as versions with a
+#: ``columnar`` storage backend wrote them before they are loaded.
 BACKENDS = ("rows", "columnar")
 
 
-def chain(n: int, backend: str = "rows") -> Database:
-    db = Database(backend=backend)
+def chain(n: int) -> Database:
+    db = Database()
     for i in range(n):
         db.add_fact("E", i, i + 1)
     return db
 
 
-def checkpointed_run(path, engine="seminaive", backend="rows", every=1, n=10):
+def checkpointed_run(path, engine="seminaive", every=1, n=10):
     """Run TC to fixpoint writing checkpoints; return (manager, result)."""
     manager = CheckpointManager(path, program=TC, engine=engine, every=every)
     governor = ResourceGovernor(on_round=manager.on_round)
-    result = evaluate(TC, chain(n, backend), engine=engine, governor=governor)
+    result = evaluate(TC, chain(n), engine=engine, governor=governor)
     return manager, result
 
 
@@ -70,13 +76,43 @@ class TestCheckpointFile:
         manager, result = checkpointed_run(path)
         loaded = load_checkpoint(path)
         assert loaded.engine == "seminaive"
-        assert loaded.backend == "rows"
+        assert json.loads(path.read_text())["payload"]["backend"] == "rows"
         assert loaded.round is not None and loaded.round >= 2
         assert loaded.fingerprint == program_fingerprint(TC)
         assert loaded.delta is not None  # seminaive persists its frontier
         assert loaded.governor_state is not None
         # Whatever the last snapshot holds is a sound under-approximation.
         assert set(loaded.database.atoms()) <= set(result.database.atoms())
+
+    def test_legacy_columnar_file_loads_as_its_rows_twin(self):
+        """A file written on the removed ``columnar`` backend loads onto
+        the one store, equal to its ``rows`` twin, and resumes."""
+        columnar = load_checkpoint(LEGACY / "checkpoint_columnar.json")
+        rows = load_checkpoint(LEGACY / "checkpoint_rows.json")
+        assert (columnar.engine, columnar.round) == (rows.engine, rows.round) == ("seminaive", 3)
+        assert columnar.fingerprint == rows.fingerprint == program_fingerprint(TC)
+        assert columnar.database == rows.database and len(rows.database) == 12
+        assert columnar.delta == rows.delta and len(rows.delta) > 0
+        resumed = resume_evaluation(columnar, program=TC)
+        assert resumed.database == evaluate(TC, chain(6)).database
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: payload["database"]["facts"]["E"].append([0, 99]),
+            lambda payload: payload["database"]["symbols"].__setitem__(0, {"var": "x"}),
+            lambda payload: payload["database"].update(backend="quantum"),
+            lambda payload: payload.update(backend="quantum"),
+        ],
+        ids=["symbol-index", "variable-symbol", "database-backend", "payload-backend"],
+    )
+    def test_malformed_legacy_file_is_a_checkpoint_error(self, tmp_path, damage):
+        document = json.loads((LEGACY / "checkpoint_columnar.json").read_text())
+        damage(document["payload"])
+        path = tmp_path / "ck.json"
+        write_sealed(path, document)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_generation_rotation(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -230,12 +266,12 @@ class TestResumeEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("engine", FIXPOINT_ENGINES)
     def test_resume_equals_uninterrupted(self, tmp_path, engine, backend):
-        baseline = database_to_json(
-            evaluate(TC, chain(10, backend), engine=engine).database
-        )
+        baseline = database_to_json(evaluate(TC, chain(10), engine=engine).database)
         path = tmp_path / "ck.json"
-        checkpointed_run(path, engine=engine, backend=backend)
+        checkpointed_run(path, engine=engine)
         for generation in (path, str(path) + ".prev"):
+            if backend == "columnar":
+                columnar_checkpoint(generation)
             resumed = resume_evaluation(load_checkpoint(generation), program=TC)
             assert resumed.status is EvaluationStatus.COMPLETE
             assert database_to_json(resumed.database) == baseline, (
@@ -252,7 +288,6 @@ class TestResumeEquivalence:
                 Checkpoint(
                     program=TC,
                     engine="seminaive",
-                    backend=db.backend,
                     database=db.copy(),
                     round=round,
                     delta=delta.copy() if delta is not None else None,

@@ -687,6 +687,23 @@ def test_workers_flag_is_gone(argv, capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "p.dl", "--edb", "e.dl"],
+        ["query", "p.dl", "G(0, x)", "--edb", "e.dl"],
+        ["profile", "p.dl", "--edb", "e.dl"],
+    ],
+    ids=["eval", "query", "profile"],
+)
+def test_backend_flag_is_gone(argv, capsys):
+    # One storage backend (docs/STORAGE.md): there is nothing to select.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--backend", "columnar"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend columnar" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_a_workers_keyword():
     # bench/workloads.py reports engine.workers2_speedup as not measured
     # by catching exactly this TypeError.

@@ -37,6 +37,8 @@ from repro.resilience import (
 )
 from repro.workloads.suites import SUITES
 
+from .legacy import on_backend
+
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
@@ -278,12 +280,6 @@ class TestMetricsExport:
         )
 
 
-def _on_backend(facts: dict, backend: str) -> Database:
-    db = Database(backend=backend)
-    db.update(Database.from_facts(facts))
-    return db
-
-
 _SHAPE_FACTS = {
     "A": [(1, 1), (1, 2), (2, 3), (3, 3), (4, 5)],
     "B": [(2,), (5,)],
@@ -307,22 +303,21 @@ class TestHeadShapes:
     could get wrong is compared with the ``match_body`` reference."""
 
     def test_rows_equal_reference(self, source, backend):
-        db = _on_backend(_SHAPE_FACTS, backend)
+        db = on_backend(Database.from_facts(_SHAPE_FACTS), backend)
         rule = parse_rule(source)
         rows = compile_kernel(rule.head, rule.body, db).run(db)
         expected = {
-            db.store_row(rule.head.substitute(bindings).args)
-            for bindings in match_body(db, rule.body)
+            rule.head.substitute(bindings).args for bindings in match_body(db, rule.body)
         }
         assert expected and rows == expected
         assert all(type(row) is tuple for row in rows)
 
     def test_engines_equal_reference(self, source, backend):
-        db = _on_backend(_SHAPE_FACTS, backend)
+        db = on_backend(Database.from_facts(_SHAPE_FACTS), backend)
         program = Program.of(parse_rule(source))
         if not program.is_positive:
-            # No interpreter path under negation: columnar == rows.
-            plain = evaluate_stratified(program, _on_backend(_SHAPE_FACTS, "rows"))
+            # No interpreter path under negation: compare with the plain store.
+            plain = evaluate_stratified(program, Database.from_facts(_SHAPE_FACTS))
             assert evaluate_stratified(program, db).database == plain.database
             return
         reference = naive_fixpoint(program, db, use_compiled=False).database
@@ -343,8 +338,7 @@ class TestHeadShapes:
 )
 def test_golden_counters(suite, size, expected, backend):
     workload = SUITES[suite]()
-    edb = Database(backend=backend)
-    edb.update(workload.edb(size))
+    edb = on_backend(workload.edb(size), backend)
     stats = seminaive_fixpoint(workload.program, edb).stats
     assert (
         stats.rule_firings,
@@ -386,8 +380,7 @@ class _TripOnEmission(ResourceGovernor):
 @pytest.mark.parametrize("k", (1, 7, 400))
 def test_trip_inside_kernel_reports_exact_firings(k, backend):
     workload = SUITES["tc/chain"]()
-    edb = Database(backend=backend)
-    edb.update(workload.edb(16))
+    edb = on_backend(workload.edb(16), backend)
     full = seminaive_fixpoint(workload.program, edb)
     assert full.stats.rule_firings > k
     governor = _TripOnEmission(k)
@@ -483,8 +476,7 @@ def test_contains_and_add_faults_fire_at_identical_counts_on_both_backends(suite
     workload = SUITES[suite]()
     outcomes = []
     for backend in ("rows", "columnar"):
-        edb = Database(backend=backend)
-        edb.update(workload.edb(size))
+        edb = on_backend(workload.edb(size), backend)
         plan = FaultPlan.seeded(
             seed=seed, operations=("contains", "add"), faults_per_operation=3, horizon=300
         )

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import evaluate, paper, parse_program, parse_rule
+from repro.core import containment
 from repro.core.containment import (
+    ContainmentSession,
     canonical_database,
     check_rule_containment,
     check_uniform_containment,
@@ -13,7 +15,7 @@ from repro.core.containment import (
     uniformly_contains,
     uniformly_equivalent,
 )
-from repro.core.minimize import minimize_program
+from repro.core.minimize import minimize_program, scan_redundancy
 from repro.lang import Program
 from repro.lang.terms import FrozenConstant
 from repro.obs.metrics import metrics_registry
@@ -202,3 +204,51 @@ class TestSessionEvidence:
                 assert result.rule_removals == full.rule_removals[:rules]
             assert uniformly_equivalent(program, result.program)
         assert tripped > 1
+
+
+class TestSessionCost:
+    """Exact work counters for what the session shares.  Sharing one
+    kernel store and restricting the container to the goal's relevant
+    rules change no verdict, only cost, so only counters can see them."""
+
+    #: ``H`` is irrelevant to every ``G`` test; the minimized program
+    #: keeps all four rules (one atom is removed from the first).
+    PROGRAM = Program.of(
+        wide_rule(core_atoms=3, redundant_atoms=3, seed=11),
+        parse_rule("G(x, z) :- A(x, y), A(y, z)."),
+        parse_rule("G(x, z) :- G(x, y), G(y, z)."),
+        parse_rule("H(x) :- A(x, y), B(y)."),
+    )
+
+    @staticmethod
+    def kernels_built(run) -> int:
+        registry = metrics_registry()
+        before = registry.counter("compile.kernels_built")
+        run()
+        return registry.counter("compile.kernels_built") - before
+
+    def test_minimize_program_compiles_each_kernel_once(self):
+        # With a fresh session per containment test this reads more.
+        assert self.kernels_built(lambda: minimize_program(self.PROGRAM)) == 8
+
+    def test_scan_keeps_the_callers_session(self):
+        session = ContainmentSession()
+        assert self.kernels_built(lambda: scan_redundancy(self.PROGRAM, session=session)) == 5
+        # Every kernel the second scan needs is already in the session.
+        assert self.kernels_built(lambda: scan_redundancy(self.PROGRAM, session=session)) == 0
+
+    def test_goal_directed_test_evaluates_only_relevant_rules(self, monkeypatch):
+        evaluated = []
+        original = containment.evaluate
+
+        def spy(program, *args, **kwargs):
+            evaluated.append(len(program.rules))
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(containment, "evaluate", spy)
+        rule = parse_rule("G(x, z) :- A(x, y), A(y, z), A(z, w).")
+        assert rule_uniformly_contained_in(rule, self.PROGRAM)
+        assert evaluated == [3]  # H's rule is cut
+        # The evidence path runs the whole container.
+        assert check_rule_containment(rule, self.PROGRAM).holds
+        assert evaluated == [3, 4]

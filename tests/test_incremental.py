@@ -15,6 +15,9 @@ from repro.resilience import FaultPlan
 from repro.testing import reference_maintenance
 from repro.workloads import chain, cycle, random_graph, tc_nonlinear
 
+from .legacy import on_backend
+
+#: ``columnar``: the base is read back from its legacy columnar document.
 BACKENDS = ("rows", "columnar")
 PHASES = ("_overdelete", "_rederive", "_propagate")
 
@@ -30,9 +33,6 @@ def state(view):
 
 def built_views(db, predicate):
     """The index views built on *predicate*, single and composite."""
-    if db.backend == "columnar":
-        relation = db._relations[predicate]
-        return set(relation._views) | set(relation._composites)
     index = db._indexes[predicate]
     return set(index.built_positions()) | set(index.composite_positions())
 
@@ -169,9 +169,9 @@ class TestDifferential:
 class TestInPlace:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_database_is_one_object_and_index_views_survive(self, tc_linear, backend):
-        view = MaterializedView(tc_linear, cycle(6, backend=backend))
+        view = MaterializedView(tc_linear, on_backend(cycle(6), backend))
         db = view.database
-        key = {value: db.store_term(Constant(value)) for value in range(6)}
+        key = {value: Constant(value) for value in range(6)}
         for bound in ({0: 0}, {1: 0}, {0: 0, 1: 1}):
             list(db.candidates("G", {p: key[v] for p, v in bound.items()}))
         built = built_views(db, "G")
@@ -215,10 +215,7 @@ INSERT = [Atom.of("A", 6, 7)]
 
 
 def edges(backend, pairs):
-    db = Database(backend=backend)
-    for u, v in pairs:
-        db.add_fact("A", u, v)
-    return db
+    return on_backend(Database.from_facts({"A": pairs}), backend)
 
 
 def faulted(tc_linear, backend, pairs, plan):
@@ -330,7 +327,7 @@ class TestDifferentialProperty:
         # Random graphs on five nodes have cycles; "G" atoms are given
         # IDB facts (the paper's generalized inputs), protected until
         # deleted themselves.  Deletes of atoms not given are no-ops.
-        given_db = Database(base, backend=backend)
+        given_db = on_backend(Database(base), backend)
         expected = reference_maintenance(program, given_db, script)
         view = MaterializedView(program, given_db, use_compiled=use_compiled)
         db = view.database

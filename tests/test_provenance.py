@@ -55,6 +55,13 @@ class TestEvaluation:
         result = evaluate_with_provenance(tc, edb)
         justification = result.justifications[Atom.of("G", 0, 9)]
         assert justification.premises == (Atom.of("G", 0, 1), Atom.of("G", 1, 9))
+        # Linear TC, T(1, 4) derived twice in one round.  This input once
+        # raised KeyError on an interning storage backend.
+        linear = parse_program("T(x, y) :- E(x, y). T(x, z) :- E(x, y), T(y, z).")
+        edb = Database.from_facts({"E": [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4)]})
+        result = evaluate_with_provenance(linear, edb)
+        justification = result.justifications[Atom.of("T", 1, 4)]
+        assert justification.premises == (Atom.of("E", 1, 2), Atom.of("T", 2, 4))
 
     def test_fact_rules_justified(self):
         program = parse_program(

@@ -24,6 +24,9 @@ from repro.lang.serialize import (
 )
 from repro.lang.terms import Constant, FrozenConstant, Null, Variable
 
+from .legacy import HERE as LEGACY
+from .legacy import columnar_document
+
 
 class TestTerms:
     @pytest.mark.parametrize(
@@ -119,29 +122,28 @@ class TestDatabases:
 
 
 class TestColumnarDatabases:
-    """Database format 2: the backend tag and the columnar symbol remap."""
+    """Database format 2: the backend tag, and the legacy ``columnar``
+    documents (a symbol list plus rows of indexes into it), which load
+    onto the one store."""
 
     def columnar(self, facts) -> Database:
-        db = Database(backend="columnar")
-        for pred, rows in facts.items():
-            for row in rows:
-                db.add_fact(pred, *row)
-        return db
+        return database_from_json(json.dumps(columnar_document(Database.from_facts(facts))))
 
     def test_backend_tag_round_trips(self):
         db = self.columnar({"A": [(1, "x"), (2, "y")], "B": [("z",)]})
-        wire = database_from_json(database_to_json(db))
-        assert wire.backend == "columnar"
-        assert wire == db
+        assert type(db) is Database
+        assert db == Database.from_facts({"A": [(1, "x"), (2, "y")], "B": [("z",)]})
+        # Writers emit the ``rows`` tag only.
+        assert json.loads(database_to_json(db))["backend"] == "rows"
+        assert database_from_json(database_to_json(db)) == db
 
     def test_document_shape(self):
-        db = self.columnar({"A": [(1, "x")]})
-        data = json.loads(database_to_json(db))
-        assert data["format"] == 2
-        assert data["backend"] == "columnar"
-        # Rows are indexes into the local symbol list, not term objects.
-        assert all(isinstance(i, int) for row in data["facts"]["A"] for i in row)
-        assert len(data["symbols"]) == 2
+        data = json.loads(database_to_json(Database.from_facts({"A": [(1, "x")]})))
+        assert data == {
+            "format": 2,
+            "backend": "rows",
+            "facts": {"A": [[{"int": 1}, {"str": "x"}]]},
+        }
 
     def test_rows_document_tags_backend_too(self):
         data = json.loads(database_to_json(Database.from_facts({"A": [(1,)]})))
@@ -150,48 +152,36 @@ class TestColumnarDatabases:
         assert "symbols" not in data
 
     def test_document_independent_of_intern_order(self):
-        """Two equal databases interned in different global orders must
-        serialize identically (local ids are assigned in row order)."""
-        first = self.columnar({"A": [("p", "q"), ("r", "s")]})
-        second = Database(backend="columnar")
-        second.add_fact("A", "r", "s")  # reversed insertion order
-        second.add_fact("A", "p", "q")
+        """Two equal databases built in different insertion orders
+        serialize identically (rows are written sorted)."""
+        first = Database.from_facts({"A": [("p", "q"), ("r", "s")]})
+        second = Database.from_facts({"A": [("r", "s"), ("p", "q")]})
         assert database_to_json(first) == database_to_json(second)
 
-    def test_differential_rows_vs_columnar(self, tc, ex2_edb):
-        """The two backends' documents decode to the same atom set, and
-        evaluation through either wire form agrees."""
+    def test_differential_rows_vs_columnar(self, tc):
+        """The committed legacy columnar document and its rows twin load
+        to equal databases, and evaluation on either agrees."""
         from repro import evaluate
 
-        columnar_edb = Database(backend="columnar")
-        for atom in ex2_edb.atoms():
-            columnar_edb.add(atom)
-        rows_wire = database_from_json(database_to_json(ex2_edb))
-        columnar_wire = database_from_json(database_to_json(columnar_edb))
-        assert rows_wire.as_atom_set() == columnar_wire.as_atom_set()
-        assert (
-            evaluate(tc, columnar_wire).database.as_atom_set()
-            == evaluate(tc, rows_wire).database.as_atom_set()
-        )
+        columnar = database_from_json((LEGACY / "database_columnar.json").read_text())
+        rows = database_from_json((LEGACY / "database_rows.json").read_text())
+        assert len(columnar) == 6
+        assert columnar == rows
+        assert evaluate(tc, columnar).database == evaluate(tc, rows).database
 
     def test_fixpoint_round_trips_on_columnar(self, tc, ex2_edb):
         from repro import evaluate
 
-        columnar_edb = Database(backend="columnar")
-        for atom in ex2_edb.atoms():
-            columnar_edb.add(atom)
-        result = evaluate(tc, columnar_edb).database
-        wire = database_from_json(database_to_json(result))
-        assert wire.backend == "columnar"
-        assert wire == result
+        result = evaluate(tc, database_from_json(json.dumps(columnar_document(ex2_edb))))
+        assert result.database == evaluate(tc, ex2_edb).database
+        wire = database_from_json(database_to_json(result.database))
+        assert wire == result.database
 
     def test_nulls_and_ints_round_trip_columnar(self):
         from repro.lang import Atom
 
-        db = Database(backend="columnar")
-        db.add(Atom("A", (Constant(1), Null(3))))
-        db.add(Atom("A", (Constant("1"), Constant(2))))
-        wire = database_from_json(database_to_json(db))
+        db = Database([Atom("A", (Constant(1), Null(3))), Atom("A", (Constant("1"), Constant(2)))])
+        wire = database_from_json(json.dumps(columnar_document(db)))
         assert wire.as_atom_set() == db.as_atom_set()
 
     def test_legacy_format1_document_still_reads(self):
@@ -199,7 +189,6 @@ class TestColumnarDatabases:
         data = json.loads(database_to_json(db))
         legacy = {"format": 1, "facts": data["facts"]}
         wire = database_from_json(json.dumps(legacy))
-        assert wire.backend == "rows"
         assert wire == db
 
     def test_unknown_backend_rejected(self):
@@ -209,11 +198,28 @@ class TestColumnarDatabases:
             )
 
     def test_bad_symbol_index_rejected(self):
-        document = {
-            "format": 2,
-            "backend": "columnar",
-            "symbols": [{"int": 1}],
-            "facts": {"A": [[0, 5]]},
-        }
+        # Past the end, negative (which Python indexing would accept),
+        # and not an int at all.
+        for bad in (5, -1, "0", 0.0, None):
+            document = {
+                "format": 2,
+                "backend": "columnar",
+                "symbols": [{"int": 1}],
+                "facts": {"A": [[0, bad]]},
+            }
+            with pytest.raises(ValidationError):
+                database_from_json(json.dumps(document))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"format": 2, "backend": "columnar", "symbols": [5], "facts": {}},
+            {"format": 2, "backend": "columnar", "symbols": [{"int": 1}], "facts": {"A": [7]}},
+            {"format": 2, "backend": "columnar", "symbols": [{"int": 1}], "facts": [[0]]},
+            {"format": 2, "backend": "columnar", "symbols": [{"var": "x"}], "facts": {"A": [[0]]}},
+        ],
+        ids=["symbol-not-a-term", "row-not-a-list", "facts-not-a-map", "variable-symbol"],
+    )
+    def test_malformed_legacy_document_rejected(self, document):
         with pytest.raises(ValidationError):
             database_from_json(json.dumps(document))

@@ -31,6 +31,8 @@ from repro.lang.terms import (
 )
 from repro.resilience.checkpoint import CheckpointManager, load_checkpoint
 
+from .legacy import columnar_checkpoint, columnar_document
+
 
 class TestVariable:
     def test_equality_by_name(self):
@@ -198,13 +200,15 @@ def _assert_identical_terms(reloaded: Database, original: Database) -> None:
 
 @pytest.mark.parametrize("backend", ("rows", "columnar"))
 def test_database_documents_reload_identical_terms(backend):
-    db = Database([Atom("P", (t, t)) for t in _GROUND], backend=backend)
-    _assert_identical_terms(database_from_dict(database_to_dict(db)), db)
+    db = Database([Atom("P", (t, t)) for t in _GROUND])
     if backend == "rows":
+        _assert_identical_terms(database_from_dict(database_to_dict(db)), db)
         # The legacy format-1 document (no backend tag).
         legacy = dict(database_to_dict(db), format=1)
         del legacy["backend"]
         _assert_identical_terms(database_from_dict(legacy), db)
+    else:
+        _assert_identical_terms(database_from_dict(columnar_document(db)), db)
 
 
 def test_program_document_reloads_identical_variables():
@@ -219,9 +223,11 @@ def test_program_document_reloads_identical_variables():
 def test_checkpoint_reloads_identical_terms(tmp_path, backend):
     x = Variable("x")
     program = Program([Rule(Atom("Q", (x,)), [Literal(Atom("P", (x, x)))])])
-    db = Database([Atom("P", (t, t)) for t in _GROUND], backend=backend)
+    db = Database([Atom("P", (t, t)) for t in _GROUND])
     path = tmp_path / "run.ckpt"
     CheckpointManager(path, program, engine="seminaive").write(db)
+    if backend == "columnar":
+        columnar_checkpoint(path)
     loaded = load_checkpoint(path)
     _assert_identical_terms(loaded.database, db)
     assert loaded.program.rules[0].head.args[0] is x

@@ -5,8 +5,8 @@ Terms are hash-consed, so a set of terms or rows iterates in an order
 that follows memory addresses and, for strings, ``PYTHONHASHSEED``.
 Anything printed in set order therefore changes from run to run.  This
 check (a step of the ``test`` CI job, runnable locally as ``python
-tools/check_stable_output.py``) runs ``eval`` (both backends),
-``minimize``, ``optimize --json`` and ``lint --format json`` over every
+tools/check_stable_output.py``) runs ``eval``, ``minimize``,
+``optimize --json`` and ``lint --format json`` over every
 ``examples/*.dl``, ``explain`` on two facts with several derivations,
 and ``preserves`` and ``prove`` over the shipped ``.tgds`` files, each
 under ``PYTHONHASHSEED=0``, ``1`` and ``2``, and compares stdout,
@@ -56,7 +56,6 @@ def commands(edb: Path) -> list[list[str]]:
         path = str(program)
         out += [
             ["eval", path, "--edb", str(edb)],
-            ["eval", path, "--edb", str(edb), "--backend", "columnar"],
             ["minimize", path],
             ["optimize", path, "--json"],
             ["lint", path, "--format", "json"],
