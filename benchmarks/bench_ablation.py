@@ -18,10 +18,11 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
-from repro.engine.joins import match_body, plan_order
+from repro.engine.joins import plan_order
 from repro.engine.stats import EvaluationStats
 from repro.lang import parse_rule
 from repro.lang.terms import Constant
+from repro.testing import match_body
 from repro.workloads import chain, random_graph
 
 

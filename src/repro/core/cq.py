@@ -22,13 +22,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..data.database import Database
-from ..engine.joins import match_body
+from ..engine.compile import compile_kernel
 from ..errors import ValidationError
-from ..lang.atoms import Literal
+from ..lang.atoms import Atom, Literal
 from ..lang.freeze import freeze_rule
 from ..lang.programs import Program
 from ..lang.rules import Rule
 from ..lang.substitution import Substitution, match_atom
+from ..lang.terms import term_sort_key
 from .containment import uniformly_equivalent
 from .minimize import minimize_rule
 
@@ -39,17 +40,29 @@ def find_homomorphism(source: Rule, target: Rule) -> Optional[Substitution]:
     Maps the source's variables so that its head becomes the target's
     head and every source body atom lands in the target's body.  The
     target is frozen first, so the returned substitution maps source
-    variables to the target's frozen constants.
+    variables to the target's frozen constants.  Of several
+    homomorphisms the least is returned: the one whose images of the
+    remaining source variables, taken by name, come first in
+    :func:`term_sort_key` order.
     """
     frozen = freeze_rule(target)
     base = match_atom(source.head, frozen.head)
     if base is None:
         return None
     db = Database(frozen.body)
-    literals = [Literal(a) for a in source.body_atoms()]
-    for bindings in match_body(db, literals, initial=dict(base)):
-        return Substitution(bindings)
-    return None
+    bound = tuple(base)
+    free = tuple(sorted(source.variables() - set(bound), key=lambda v: v.name))
+    kernel = compile_kernel(
+        Atom("_", free),
+        [Literal(a) for a in source.body_atoms()],
+        db,
+        bound=bound,
+    )
+    rows = kernel.run(db, seed=tuple(base.values()))
+    if not rows:
+        return None
+    least = min(rows, key=lambda row: tuple(term_sort_key(t) for t in row))
+    return Substitution({**base, **dict(zip(free, least))})
 
 
 def cq_contained_in(q1: Rule, q2: Rule) -> bool:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..data.database import Database
-from ..engine.joins import match_body
+from ..engine.compile import JoinKernel, compile_kernel
 from ..errors import TgdError
 from ..lang.atoms import Atom, Literal, atoms_variables
 from ..lang.rules import Rule
@@ -42,6 +42,7 @@ class Tgd:
     rhs: tuple[Atom, ...]
     _universal: frozenset[Variable] = field(init=False, repr=False, compare=False, hash=False)
     _existential: frozenset[Variable] = field(init=False, repr=False, compare=False, hash=False)
+    _compiled: Optional[tuple] = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, lhs: tuple[Atom, ...] | list[Atom], rhs: tuple[Atom, ...] | list[Atom]):
         object.__setattr__(self, "lhs", tuple(lhs))
@@ -54,6 +55,10 @@ class Tgd:
         existential = atoms_variables(self.rhs) - universal
         object.__setattr__(self, "_universal", universal)
         object.__setattr__(self, "_existential", existential)
+        object.__setattr__(self, "_compiled", None)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_compiled": None}
 
     @classmethod
     def parse(cls, source: str) -> "Tgd":
@@ -93,35 +98,45 @@ class Tgd:
         return tuple(Rule(head, body) for head in self.rhs)
 
     # -- semantics ----------------------------------------------------------------
+    def _kernels(self, db: Database) -> tuple[JoinKernel, JoinKernel]:
+        """The trigger's two conjunctive queries, compiled once per tgd
+        (never pickled).  The LHS kernel's rows are the distinct θ over
+        the universal variables taken by name; the RHS kernel pre-binds
+        them and has an empty head, so seeded with θ it yields ``{()}``
+        iff a witness extends θ."""
+        if self._compiled is None:
+            universal = tuple(sorted(self._universal, key=lambda v: v.name))
+            lhs = compile_kernel(
+                Atom("_", universal), [Literal(a) for a in self.lhs], db
+            )
+            rhs = compile_kernel(
+                Atom("_", ()), [Literal(a) for a in self.rhs], db, bound=universal
+            )
+            object.__setattr__(self, "_compiled", (lhs, rhs))
+        return self._compiled
+
     def violations(self, db: Database) -> Iterator[Substitution]:
         """Instantiations of the universal variables that violate the tgd.
 
         Yields each substitution θ such that ``lhs·θ ⊆ db`` but no
         extension of θ makes ``rhs`` a subset of ``db``.  θ is restricted
-        to the universal variables.
+        to the universal variables, and the θs come in
+        :func:`term_sort_key` order of their values over the universal
+        variables taken by name, so the first one never depends on set
+        iteration order.
         """
-        lhs_literals = [Literal(a) for a in self.lhs]
-        seen: set[tuple[tuple[Variable, Term], ...]] = set()
-        for bindings in match_body(db, lhs_literals):
-            theta = {v: bindings[v] for v in self._universal}
-            key = tuple(sorted(theta.items(), key=lambda kv: kv[0].name))
-            if key in seen:
-                continue
-            seen.add(key)
-            if not self._rhs_matchable(db, theta):
-                yield Substitution(theta)
+        lhs, rhs = self._kernels(db)
+        for row in sorted(lhs.run(db), key=lambda row: tuple(map(term_sort_key, row))):
+            if not rhs.run(db, seed=row):
+                yield Substitution(dict(zip(rhs.bound, row)))
 
-    def _rhs_matchable(self, db: Database, theta: dict[Variable, Term]) -> bool:
-        rhs_literals = [Literal(a) for a in self.rhs]
-        for _ in match_body(db, rhs_literals, initial=theta):
-            return True
-        return False
+    def _rhs_matchable(self, db: Database, theta: Substitution) -> bool:
+        rhs = self._kernels(db)[1]
+        return bool(rhs.run(db, seed=tuple(theta[v] for v in rhs.bound)))
 
     def is_satisfied_by(self, db: Database) -> bool:
         """Whether *db* satisfies the tgd (no violating instantiation)."""
-        for _ in self.violations(db):
-            return False
-        return True
+        return next(self.violations(db), None) is None
 
     def exhibits_violation(self, db: Database, theta: Substitution) -> bool:
         """Whether the specific instantiation θ exhibits a violation in *db*.
@@ -131,7 +146,7 @@ class Tgd:
         bind every universal variable to a ground term; the LHS under θ
         is assumed (not checked) to be in the relevant database.
         """
-        return not self._rhs_matchable(db, dict(theta))
+        return not self._rhs_matchable(db, theta)
 
     def apply(self, db: Database, nulls: NullFactory, theta: Substitution) -> list[Atom]:
         """Apply the tgd for the violating instantiation θ, mutating *db*.
@@ -155,20 +170,15 @@ class Tgd:
         Violations are computed against the database state at the start
         of the round (their list is materialized first), matching the
         standard-chase convention that a round repairs the violations it
-        can see.  They are repaired in :func:`term_sort_key` order of θ
-        over the universal variables taken by name, so null labels and
-        counts never depend on set iteration order.
+        can see.  They are repaired in the order :meth:`violations` yields
+        them, so null labels and counts never depend on set iteration
+        order.
         """
-        universal = sorted(self._universal, key=lambda v: v.name)
-        pending = sorted(
-            self.violations(db),
-            key=lambda theta: tuple(term_sort_key(theta[v]) for v in universal),
-        )
         added = 0
-        for theta in pending:
+        for theta in list(self.violations(db)):
             # Re-check: an earlier repair in this round may have
             # satisfied this instantiation already.
-            if self._rhs_matchable(db, dict(theta)):
+            if self._rhs_matchable(db, theta):
                 continue
             added += len(self.apply(db, nulls, theta))
         return added

@@ -86,6 +86,18 @@ class PredicateIndex:
             if bucket is not None:
                 bucket.discard(row)
 
+    def approximate_bytes(self, rows: int) -> int:
+        """What the built indexes of a relation of *rows* rows hold,
+        calibrated against ``tracemalloc``: a bucket is a set and its map
+        entry (about 260 B, plus the key tuple of a composite), and a set
+        costs about 90 B per row past the four it holds inline."""
+        total = 0
+        for buckets in self._positions.values():
+            total += _index_bytes(len(buckets), rows, 260)
+        for positions, buckets in self._composites.items():
+            total += _index_bytes(len(buckets), rows, 300 + 8 * len(positions))
+        return total
+
     def bucket(self, position: int, value: Term) -> set[tuple[Term, ...]] | None:
         """The tuples with *value* at *position*, or ``None`` if not built."""
         buckets = self._positions.get(position)
@@ -131,3 +143,7 @@ class PredicateIndex:
 
 
 _EMPTY: set = set()
+
+
+def _index_bytes(buckets: int, rows: int, per_bucket: int) -> int:
+    return buckets * per_bucket + 90 * max(0, rows - 4 * buckets)

@@ -24,7 +24,7 @@ from .fixpoint import (
     register_engine,
 )
 from .incremental import MaintenanceStats, MaterializedView
-from .joins import fire_rule, match_body, plan_order
+from .joins import plan_order
 from .magic import Adornment, MagicRewriting, answer_query, magic_transform
 from .naive import naive_fixpoint
 from .provenance import (
@@ -77,9 +77,7 @@ __all__ = [
     "estimate_guard_benefit",
     "estimate_rule",
     "evaluate_stratified",
-    "fire_rule",
     "magic_transform",
-    "match_body",
     "naive_fixpoint",
     "plan_order",
     "rank_guards",

@@ -1,16 +1,15 @@
 """Compiled join kernels: rule bodies flattened to slot-array programs.
 
-:func:`~repro.engine.joins.match_body` is the *reference* join
-implementation: general, readable, and slow -- every probe re-derives
-the bound argument positions of the current literal by walking its terms
-with ``isinstance`` checks and a fresh ``dict`` of variable bindings
-(:func:`~repro.engine.joins._bound_positions`), and every matched row is
-re-verified position by position even though the index bucket already
-guaranteed most positions.
+Every production join -- the fixpoint engines, incremental maintenance,
+``Pⁿ(d)``, provenance, tgd triggers and conjunctive-query homomorphisms
+-- runs on a :class:`JoinKernel`.  The interpreted matcher kernels
+replaced is kept only as the differential-test reference, in
+:mod:`repro.testing`.
 
 This module compiles each (rule, delta-position) variant **once** into a
 flat :class:`JoinKernel` that operates on raw tuples and an integer slot
-array:
+array, so no probe re-derives its bound positions and no matched row is
+re-verified where the index bucket already guarantees it:
 
 * variables become *slots* (dense integers assigned in join order);
 * each body literal becomes a :class:`_Step` carrying precomputed
@@ -23,9 +22,13 @@ array:
   array fixed at compile time (ground terms sit in the array after the
   variable slots; one ``operator.itemgetter`` call builds the row), so
   no substitution dictionaries are built on the hot path;
-* the *witness cutoff* of ``match_body`` (stop enumerating once every
-  head variable is bound) becomes a compile-time ``witness_depth``
-  instead of a per-node ``all(v in bindings)`` scan.
+* the *witness cutoff* (stop enumerating once every head variable is
+  bound; the rest of the body is an existence check) is a compile-time
+  ``witness_depth``;
+* *pre-bound variables* (``compile_kernel(..., bound=vars)``) take the
+  first slots and are planned as bound; ``run(..., seed=values)`` writes
+  them once per run.  A tgd's right-hand side seeded with θ, or a query
+  body seeded with a head match, is one such kernel.
 
 **Textbook semi-naive splitting.**  A kernel compiled with a
 ``delta_position`` tags every body position with a source:
@@ -70,7 +73,7 @@ numbers).
 documented seams -- every probe goes through ``candidates``, every
 negated check and duplicate count through ``contains_tuple`` -- and tick
 the resource governor per emitted head, so fault injection and graceful
-degradation behave exactly as they do on the reference path.
+degradation see every join the same way.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ class JoinKernel:
         "witness_depth",
         "delta_position",
         "order",
+        "bound",
         "_suffix_key",
         "_after_prefix",
     )
@@ -176,6 +180,7 @@ class JoinKernel:
         witness_depth: int,
         delta_position: int | None,
         order: tuple[int, ...],
+        bound: tuple[Variable, ...] = (),
     ):
         self.head_predicate = head_predicate
         #: Slot array -> head row (see :func:`_projection`).  A run's
@@ -188,6 +193,8 @@ class JoinKernel:
         self.witness_depth = witness_depth
         self.delta_position = delta_position
         self.order = order
+        #: The pre-bound variables, in slots ``0 .. len(bound)-1``.
+        self.bound = bound
         #: Enumerated (pre-cutoff) steps reading snapshot ∪ Δ -- the rows
         #: matched there decide the duplicate-derivations-avoided count.
         self._after_prefix = tuple(
@@ -219,6 +226,7 @@ class JoinKernel:
         stats: EvaluationStats | None = None,
         governor=None,
         count_avoided: bool = False,
+        seed: Sequence = (),
     ) -> set[tuple]:
         """All head rows derivable through this kernel.
 
@@ -245,6 +253,8 @@ class JoinKernel:
             count_avoided: account duplicate derivations avoided by the
                 snapshot discipline (needs *delta*; a lower bound -- only
                 enumerated positions are inspected).
+            seed: the values of the kernel's pre-bound variables
+                (:attr:`bound`), in the same order.
         """
         steps = self.steps
         if self.delta_position is not None and delta is None:
@@ -259,6 +269,9 @@ class JoinKernel:
                 sources.append(db)
 
         slots = list(self.slot_template)
+        if len(seed) != len(self.bound):
+            raise ValueError(f"kernel pre-binds {len(self.bound)} variables, not {len(seed)}")
+        slots[: len(seed)] = seed
         rows_at: list[tuple | None] = [None] * len(steps)
         derived: set[tuple] = set()
         add = derived.add
@@ -447,6 +460,7 @@ def compile_kernel(
     delta_position: int | None = None,
     order: Sequence[int] | None = None,
     hints: Mapping[str, int] | None = None,
+    bound: Sequence[Variable] = (),
 ) -> JoinKernel:
     """Compile one rule variant into a :class:`JoinKernel`.
 
@@ -458,7 +472,16 @@ def compile_kernel(
     predicates *db* holds no facts of (see ``plan_order``) -- kernels
     are compiled against the *initial* database, where every IDB
     relation is empty and the size tie-break is otherwise blind.
+
+    *bound* names distinct variables whose values each run supplies
+    (``run(..., seed=values)``): they take the first slots and the plan
+    treats them as bound from the start.  The head may use them, and a
+    kernel whose head variables are all pre-bound only checks that the
+    body has a witness (it yields ``{head}`` or nothing).
     """
+    bound = tuple(bound)
+    if len(set(bound)) != len(bound):
+        raise ValueError("pre-bound variables must be distinct")
     if delta_position is not None:
         if not (0 <= delta_position < len(body)):
             raise ValueError(f"delta position {delta_position} out of range")
@@ -467,15 +490,22 @@ def compile_kernel(
     head_vars = frozenset(head.variables())
     if order is None:
         order = plan_order(
-            body, db, prefer_vars=head_vars, first=delta_position, hints=hints
+            body,
+            db,
+            initially_bound=frozenset(bound),
+            prefer_vars=head_vars,
+            first=delta_position,
+            hints=hints,
         )
     order = tuple(order)
 
-    slot_of: dict[Variable, int] = {}
-    # Every variable is bound by a positive literal, so the slot count is
-    # known up front and ground terms can be given slots after them.
+    slot_of: dict[Variable, int] = {var: slot for slot, var in enumerate(bound)}
+    # Every variable is pre-bound or bound by a positive literal, so the
+    # slot count is known up front and ground terms can be given slots
+    # after them.
     n_slots = len(
-        {t for lit in body if lit.positive for t in lit.atom.args if isinstance(t, Variable)}
+        set(bound)
+        | {t for lit in body if lit.positive for t in lit.atom.args if isinstance(t, Variable)}
     )
     constants: list = []
 
@@ -491,7 +521,7 @@ def compile_kernel(
         return _projection(indices)
 
     steps: list[_Step] = []
-    bound_vars: set[Variable] = set()
+    bound_vars: set[Variable] = set(bound)
     witness_depth = len(order)
     witness_found = head_vars <= bound_vars
     if witness_found:
@@ -592,6 +622,7 @@ def compile_kernel(
         witness_depth,
         delta_position,
         order,
+        bound,
     )
 
 

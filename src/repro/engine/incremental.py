@@ -57,7 +57,7 @@ from ..lang.terms import Variable
 from ..obs.tracer import trace
 from ..resilience.governor import ResourceGovernor
 from .compile import KernelCache
-from .joins import delta_variant_positions, fire_rule
+from .joins import delta_variant_positions
 from .stats import EvaluationStats
 
 
@@ -109,7 +109,6 @@ class MaterializedView:
         program: Program,
         base: Database,
         governor: ResourceGovernor | None = None,
-        use_compiled: bool = True,
     ):
         if not program.is_positive:
             raise UnsafeRuleError("incremental maintenance requires a positive program")
@@ -126,9 +125,7 @@ class MaterializedView:
         # Delta propagation here pins Δ at one position and reads the
         # materialized database everywhere else (before=None below):
         # during over-deletion there is no meaningful pre-round snapshot.
-        self._kernels = (
-            KernelCache(self._materialized) if use_compiled else None
-        )
+        self._kernels = KernelCache(self._materialized)
         self._variants = [_delta_variants(rule) for rule in program.rules]
         # Per rule, the guarded twin rederivation runs (None for a fact).
         self._guarded = [
@@ -322,21 +319,9 @@ class MaterializedView:
             delta = self._project_delta(
                 delta, rule.body[position].predicate, private
             )
-        if self._kernels is not None:
-            return self._kernels.kernel(rule, position).run(
-                self._materialized, delta=delta, stats=work, governor=self.governor
-            )
-        return {
-            atom.args
-            for atom in fire_rule(
-                self._materialized,
-                rule.head,
-                rule.body,
-                stats=work,
-                source_for={position: delta},
-                governor=self.governor,
-            )
-        }
+        return self._kernels.kernel(rule, position).run(
+            self._materialized, delta=delta, stats=work, governor=self.governor
+        )
 
     @staticmethod
     def _project_delta(

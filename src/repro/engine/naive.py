@@ -18,7 +18,6 @@ from ..obs.tracer import trace
 from ..resilience.governor import EvaluationStatus, ResourceGovernor
 from .compile import KernelCache, cardinality_hint_provider
 from .fixpoint import EvaluationResult
-from .joins import fire_rule
 from .stats import EvaluationStats
 
 
@@ -26,16 +25,12 @@ def naive_fixpoint(
     program: Program,
     db: Database,
     governor: ResourceGovernor | None = None,
-    use_compiled: bool = True,
 ) -> EvaluationResult:
     """Iterate all rules over the full database until nothing is new.
 
     With a *governor*, a tripped limit stops iteration and the facts
     derived so far are returned as a ``PARTIAL`` result (a sound
     under-approximation of ``P(db)`` by monotonicity).
-
-    *use_compiled* selects the kernel path (default) or the
-    ``fire_rule`` reference path; both compute the same fixpoint.
     """
     if not program.is_positive:
         raise UnsafeRuleError(
@@ -47,10 +42,8 @@ def naive_fixpoint(
     result = db.copy()
     status = EvaluationStatus.COMPLETE
     degradation = None
-    kernels = (
-        KernelCache(result, hint_provider=cardinality_hint_provider(program, result))
-        if use_compiled
-        else None
+    kernels = KernelCache(
+        result, hint_provider=cardinality_hint_provider(program, result)
     )
     with trace("naive.eval", rules=len(program.rules)) as root:
         root.watch(stats)
@@ -71,18 +64,9 @@ def naive_fixpoint(
                             governor.tick()
                         with trace("naive.rule", rule=rule_index) as span:
                             span.watch(stats)
-                            if kernels is not None:
-                                derived = kernels.kernel(rule).run(
-                                    result, stats=stats, governor=governor
-                                )
-                            else:
-                                derived = {
-                                    atom.args
-                                    for atom in fire_rule(
-                                        result, rule.head, rule.body,
-                                        stats=stats, governor=governor,
-                                    )
-                                }
+                            derived = kernels.kernel(rule).run(
+                                result, stats=stats, governor=governor
+                            )
                             head = rule.head.predicate
                             for row in derived:
                                 if result._add_row(head, row):

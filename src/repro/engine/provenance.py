@@ -23,7 +23,7 @@ from ..lang.atoms import Atom
 from ..lang.programs import Program
 from ..lang.rules import Rule
 from ..errors import UnsafeRuleError
-from .joins import match_body
+from .compile import compile_kernel
 from .stats import EvaluationStats
 
 
@@ -73,22 +73,34 @@ def evaluate_with_provenance(program: Program, db: Database) -> ProvenanceResult
     justifications: dict[Atom, Justification] = {
         atom: Justification(atom, None, ()) for atom in db.atoms()
     }
+    # Per rule: a kernel whose head lists the body variables, so each
+    # row it yields is one body instantiation (None for a fact).
+    kernels = []
+    for rule in program.rules:
+        if rule.is_fact:
+            kernels.append(None)
+            continue
+        variables = tuple(sorted(rule.variables(), key=lambda v: v.name))
+        kernels.append(
+            (variables, compile_kernel(Atom("_", variables), rule.body, result))
+        )
     changed = True
     while changed:
         stats.iterations += 1
         changed = False
         pending: dict[Atom, Justification] = {}
-        for rule in program.rules:
-            if rule.is_fact:
+        for rule, compiled in zip(program.rules, kernels):
+            if compiled is None:
                 if rule.head not in result:
                     pending.setdefault(rule.head, Justification(rule.head, rule, ()))
                 continue
             # The first rule to derive a fact justifies it; among one
             # rule's derivations the least premises win, so the proof
             # does not depend on the order the database yields rows.
+            variables, kernel = compiled
             found: dict[Atom, tuple[Atom, ...]] = {}
-            for bindings in match_body(result, rule.body, stats=stats):
-                stats.rule_firings += 1
+            for row in kernel.run(result, stats=stats):
+                bindings = dict(zip(variables, row))
                 head = rule.head.substitute(bindings)
                 if head in result or head in pending:
                     continue

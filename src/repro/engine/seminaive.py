@@ -17,15 +17,12 @@ what made this engine fire *more* rules than naive on multi-atom
 bodies.  The suppressed duplicates are counted as
 ``duplicates_avoided`` in the stats.
 
-The default execution path runs compiled :class:`~repro.engine.compile.JoinKernel`
-programs (one per rule/delta-position variant, cached across rounds);
-``use_compiled=False`` keeps the original
-:func:`~repro.engine.joins.fire_rule` reference path for differential
-testing.  Either way a round handles head *rows* (tuples of Terms):
-novelty by ``contains_tuple``, insertion by
-``_add_row``, and the end-of-round commit (``snapshot ∪= Δ``,
-``full ∪= Δ'``) is one bulk union per predicate; no ``Atom`` is built
-inside the loop.
+Each variant runs as a compiled :class:`~repro.engine.compile.JoinKernel`
+(one per rule/delta-position pair, cached across rounds).  A round
+handles head *rows* (tuples of Terms): novelty by ``contains_tuple``,
+insertion by ``_add_row``, and the end-of-round commit
+(``snapshot ∪= Δ``, ``full ∪= Δ'``) is one bulk union per predicate; no
+``Atom`` is built inside the loop.
 
 In the first round the delta is the entire input database (snapshot
 ``F_0 = ∅``), which makes initial IDB facts (Section III's generalized
@@ -52,7 +49,6 @@ from ..obs.tracer import trace
 from ..resilience.governor import EvaluationStatus, ResourceGovernor
 from .compile import KernelCache, cardinality_hint_provider
 from .fixpoint import EvaluationResult
-from .joins import delta_variant_positions, fire_rule, plan_order
 from .stats import EvaluationStats
 
 
@@ -74,7 +70,6 @@ def seminaive_fixpoint(
     program: Program,
     db: Database,
     governor: ResourceGovernor | None = None,
-    use_compiled: bool = True,
     resume_state=None,
     *,
     _goal: GoalRun | None = None,
@@ -85,9 +80,6 @@ def seminaive_fixpoint(
     committed to the full database so far are returned as a ``PARTIAL``
     result (a sound under-approximation of ``P(db)`` by monotonicity;
     the interrupted round's uncommitted delta is discarded).
-
-    *use_compiled* selects the kernel path (default) or the
-    ``fire_rule`` reference path; both compute the same fixpoint.
 
     *resume_state* (a
     :class:`~repro.resilience.checkpoint.ResumeState`-shaped object with
@@ -101,7 +93,7 @@ def seminaive_fixpoint(
     fixpoint unchanged.
 
     *_goal* is the internal containment-session path (see
-    :class:`GoalRun`); it implies the compiled path.
+    :class:`GoalRun`).
     """
     if not program.is_positive:
         raise UnsafeRuleError(
@@ -114,23 +106,14 @@ def seminaive_fixpoint(
     status = EvaluationStatus.COMPLETE
     degradation = None
     target = None
-    #: (rule, delta position) -> cached join order (reference path).
-    plans: dict[tuple[int, int], list[int]] = {}
-    kernels = None
     if _goal is not None:
         kernels, target = _goal
         kernels.bind(full, cardinality_hint_provider(program, full))
-    elif use_compiled:
+    else:
         kernels = KernelCache(full, cardinality_hint_provider(program, full))
     #: Per rule: the body positions that need their own delta variant
     #: (symmetric redundant-atom positions collapse to the first).
-    if kernels is not None:
-        variants = [kernels.variants(rule) for rule in program.rules]
-    else:
-        variants = [
-            () if rule.is_fact else delta_variant_positions(rule.head, rule.body)
-            for rule in program.rules
-        ]
+    variants = [kernels.variants(rule) for rule in program.rules]
 
     with trace("seminaive.eval", rules=len(program.rules)) as root:
         root.watch(stats)
@@ -180,17 +163,11 @@ def seminaive_fixpoint(
                             governor.tick()
                         with trace("seminaive.rule", rule=rule_index) as span:
                             span.watch(stats)
-                            if kernels is not None:
-                                derived = _run_delta_kernels(
-                                    rule, kernels, full, delta,
-                                    snapshot, stats, governor,
-                                    variants[rule_index],
-                                )
-                            else:
-                                derived = _fire_rule_seminaive(
-                                    rule.head, rule, full, delta, stats, plans,
-                                    rule_index, governor, variants[rule_index],
-                                )
+                            derived = _run_delta_kernels(
+                                rule, kernels, full, delta,
+                                snapshot, stats, governor,
+                                variants[rule_index],
+                            )
                             # Every membership test, then every insert:
                             # the seam counts at any point then do not
                             # depend on the order a set yields its rows,
@@ -217,54 +194,6 @@ def seminaive_fixpoint(
     return EvaluationResult(full, stats, status=status, degradation=degradation)
 
 
-def _fire_rule_seminaive(
-    head: Atom,
-    rule,
-    full: Database,
-    delta: Database,
-    stats: EvaluationStats,
-    plans: dict[tuple[int, int], list[int]],
-    rule_index: int,
-    governor: ResourceGovernor | None = None,
-    positions: tuple[int, ...] | None = None,
-) -> set[tuple]:
-    """Union of the rule's delta-variants (reference path), as head rows.
-
-    Non-delta positions read the full database here, so a fact reachable
-    through several delta positions is re-derived by each variant; the
-    compiled path's snapshot discipline eliminates those duplicates.
-    """
-    derived: set[tuple] = set()
-    body = rule.body
-    head_vars = frozenset(head.variables())
-    if positions is None:
-        positions = delta_variant_positions(head, body)
-    for position in positions:
-        literal = body[position]
-        if delta.count(literal.predicate) == 0:
-            continue
-        key = (rule_index, position)
-        order = plans.get(key)
-        if order is None:
-            order = plan_order(
-                body, full, prefer_vars=head_vars, first=position
-            )
-            plans[key] = order
-        derived.update(
-            atom.args
-            for atom in fire_rule(
-                full,
-                head,
-                body,
-                stats=stats,
-                source_for={position: delta},
-                order=order,
-                governor=governor,
-            )
-        )
-    return derived
-
-
 def _run_delta_kernels(
     rule,
     kernels: KernelCache,
@@ -273,13 +202,11 @@ def _run_delta_kernels(
     snapshot: Database,
     stats: EvaluationStats,
     governor: ResourceGovernor | None,
-    positions: tuple[int, ...] | None = None,
+    positions: tuple[int, ...],
 ) -> set[tuple]:
-    """Union of the rule's delta-variants under the textbook discipline,
-    as head rows."""
+    """Union of the rule's delta-variants (at *positions*) under the
+    textbook discipline, as head rows."""
     derived: set[tuple] = set()
-    if positions is None:
-        positions = delta_variant_positions(rule.head, rule.body)
     for position in positions:
         literal = rule.body[position]
         if delta.count(literal.predicate) == 0:

@@ -35,7 +35,7 @@ class EvaluationStats:
     facts_derived: int = 0
     elapsed: float = 0.0
     #: Duplicate derivations the textbook semi-naive snapshot discipline
-    #: suppressed (counted by compiled kernels; 0 on the reference path).
+    #: suppressed (counted by the semi-naive delta kernels).
     duplicates_avoided: int = 0
     engine: str | None = field(default=None, repr=False, compare=False)
     _started: float | None = field(default=None, repr=False, compare=False)

@@ -123,25 +123,13 @@ class CancellationToken:
 
 
 def approximate_database_bytes(db: Any) -> int:
-    """A cheap upper-ish estimate of a database's memory footprint.
-
-    Walks relation *counts* only (never the tuples themselves).  A
-    :class:`~repro.data.database.Database` reports through
-    ``db.approximate_bytes()``, which costs each stored row as a tuple
-    header plus per-slot pointers plus an amortized share of the Term
-    objects (see ``docs/STORAGE.md``).  Deliberately coarse -- the cap
-    is a tripwire against runaway growth, not an accountant.
+    """A cheap estimate of a database's memory footprint:
+    :meth:`~repro.data.database.Database.approximate_bytes`, which reads
+    relation and index sizes only, never the tuples themselves (see
+    ``docs/STORAGE.md``).  The cap is a tripwire against runaway growth,
+    not an accountant.
     """
-    estimate = getattr(db, "approximate_bytes", None)
-    if estimate is not None:
-        return estimate()
-    total = 0
-    for pred in db.predicates:
-        arity = db.arity(pred)
-        rows = db.count(pred)
-        # tuple header ~56B + 8B/slot pointer + ~48B/slot amortized term.
-        total += rows * (56 + arity * 56)
-    return total
+    return db.approximate_bytes()
 
 
 class ResourceGovernor:

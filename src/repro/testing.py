@@ -29,6 +29,11 @@ directed :class:`~repro.core.containment.ContainmentSession`.
 matcher: the oracle for the in-place, compiled
 :class:`~repro.engine.incremental.MaterializedView`.
 
+:func:`match_body` and :func:`fire_rule` are that interpreted matcher: a
+backtracking index-nested-loop join over plain ``dict`` bindings, the
+reference every compiled join kernel is tested against.
+:func:`reference_fixpoint` iterates :func:`fire_rule` to a fixpoint.
+
 All generators take explicit seeds and are deterministic, so a failure
 report is sufficient to reproduce the bug.
 """
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core.containment import uniformly_equivalent
 from .core.minimize import (
@@ -56,18 +61,19 @@ from .core.optimizer import optimize
 from .data.database import Database
 from .engine.fixpoint import evaluate
 from .engine.incremental import MaintenanceStats, MaterializedView
-from .engine.joins import fire_rule, match_body
+from .engine.joins import plan_order
 from .engine.magic import answer_query
 from .engine.naive import naive_fixpoint
 from .engine.seminaive import seminaive_fixpoint
+from .engine.stats import EvaluationStats
 from .engine.supplementary import answer_query_supplementary
 from .engine.topdown import tabled_query
-from .lang.atoms import Atom
+from .lang.atoms import Atom, Literal
 from .lang.freeze import freeze_rule
 from .lang.programs import Program
 from .lang.rules import Rule
 from .lang.substitution import match_atom
-from .lang.terms import Variable
+from .lang.terms import Term, Variable
 from .workloads.programs import random_positive_program
 
 
@@ -234,20 +240,20 @@ def reference_maintenance(
 
     *script* is a sequence of ``("insert" | "delete", atoms)`` batches.
     Returns, per batch, the counters ``insert_all`` / ``delete_all`` must
-    report and the view after it.  An insertion recomputes the fixpoint.
-    A deletion over-deletes with :func:`~repro.engine.joins.fire_rule`,
-    copies the view minus the over-deleted facts, then re-proves them
-    one at a time with :func:`~repro.engine.joins.match_body`, pass
-    after pass, until a pass restores nothing.
+    report and the view after it.  An insertion recomputes the fixpoint
+    (:func:`reference_fixpoint`).  A deletion over-deletes with
+    :func:`fire_rule`, copies the view minus the over-deleted facts, then
+    re-proves them one at a time with :func:`match_body`, pass after
+    pass, until a pass restores nothing.
     """
     given = set(base.atoms())
-    view = naive_fixpoint(program, Database(given), use_compiled=False).database
+    view = reference_fixpoint(program, Database(given))
     out = []
     for kind, atoms in script:
         stats = MaintenanceStats()
         if kind == "insert":
             given.update(atoms)
-            new = naive_fixpoint(program, Database(given), use_compiled=False).database
+            new = reference_fixpoint(program, Database(given))
             stats.inserted = len(new) - len(view)
         else:
             delta = {atom for atom in atoms if atom in given}
@@ -291,6 +297,215 @@ def _rederivable(program: Program, fact: Atom, db: Database) -> bool:
         for _ in match_body(db, rule.body, initial=bindings):
             return True
     return False
+
+
+def reference_fixpoint(program: Program, db: Database) -> Database:
+    """``P(db)`` for a positive program by the interpreted matcher:
+    :func:`fire_rule` over every rule, round after round, until a round
+    adds nothing.  The oracle for the compiled engines."""
+    result = db.copy()
+    changed = True
+    while changed:
+        changed = False
+        for rule in program.rules:
+            for atom in fire_rule(result, rule.head, rule.body):
+                changed |= result.add(atom)
+    return result
+
+
+def _bound_positions(atom: Atom, bindings: Mapping[Variable, Term]) -> dict[int, Term]:
+    """Map argument positions that are ground under *bindings* to values."""
+    out: dict[int, Term] = {}
+    for pos, term in enumerate(atom.args):
+        if isinstance(term, Variable):
+            value = bindings.get(term)
+            if value is not None:
+                out[pos] = value
+        else:
+            out[pos] = term
+    return out
+
+
+def match_body(
+    db: Database,
+    literals: Sequence[Literal],
+    stats: EvaluationStats | None = None,
+    initial: Mapping[Variable, Term] | None = None,
+    order: Sequence[int] | None = None,
+    source_for: Mapping[int, Database] | None = None,
+    witness_after: frozenset[Variable] | None = None,
+) -> Iterator[dict[Variable, Term]]:
+    """Yield all substitutions making the body true in *db*.
+
+    Args:
+        db: database answering positive subgoals (and all negated ones).
+        literals: the rule body.
+        stats: optional join-work counters.
+        initial: variable pre-bindings (used by magic/derived contexts).
+        order: explicit evaluation order (defaults to :func:`plan_order`).
+        source_for: optional override mapping a body-literal *index* to
+            the database it must match against -- semi-naive evaluation
+            uses this to force one subgoal onto the delta relation.
+            Negated literals always consult *db*.
+        witness_after: *existential cutoff* -- once every variable in
+            this set is bound, the remaining subgoals are checked for
+            satisfiability only and a single witness is produced instead
+            of enumerating all completions.  Rule firing passes the head
+            variables here: distinct bindings of head-irrelevant body
+            variables cannot change the derived fact, and enumerating
+            them is the classic exponential trap (e.g. the body
+            ``G(x,s1), G(x,s2), G(x,s3)`` has ``|G(x,·)|³`` witnesses).
+            Solutions may still repeat on the cutoff variables; callers
+            deduplicate derived heads as usual.
+    """
+    if order is None:
+        initially_bound = frozenset(initial) if initial else frozenset()
+        # A single delta-pinned subgoal (semi-naive) leads the order:
+        # the delta is the most selective relation in the join.
+        first = None
+        if source_for is not None and len(source_for) == 1:
+            (candidate_first,) = source_for
+            if literals[candidate_first].positive:
+                first = candidate_first
+        order = plan_order(
+            literals,
+            db,
+            initially_bound,
+            prefer_vars=witness_after or frozenset(),
+            first=first,
+        )
+    bindings: dict[Variable, Term] = dict(initial) if initial else {}
+
+    def bind_row(atom: Atom, row: tuple, guaranteed: Mapping[int, Term]) -> list[Variable] | None:
+        """Extend *bindings* to match *atom* against *row*.
+
+        *guaranteed* is the bound-position map the row was probed with:
+        ``candidates`` guarantees those positions match, so they are
+        skipped here.  Every remaining position is an unbound-or-repeated
+        variable.
+
+        Returns the newly bound variables (to undo later), or ``None``
+        on mismatch (nothing left bound).
+        """
+        added: list[Variable] = []
+        for pos, term in enumerate(atom.args):
+            if pos in guaranteed:
+                continue
+            value = bindings.get(term)
+            if value is None:
+                bindings[term] = row[pos]
+                added.append(term)
+            elif value != row[pos]:
+                for var in added:
+                    del bindings[var]
+                return None
+        return added
+
+    def rows_for(depth: int):
+        index = order[depth]
+        literal = literals[index]
+        source = db
+        if literal.positive and source_for is not None:
+            source = source_for.get(index, db)
+        return literal, source
+
+    def satisfiable(depth: int) -> bool:
+        """Existence check: does any completion of the suffix match?"""
+        if depth == len(order):
+            return True
+        literal, source = rows_for(depth)
+        atom = literal.atom
+        if stats is not None:
+            stats.subgoal_attempts += 1
+        if not literal.positive:
+            ground = atom.substitute(bindings)
+            return ground not in db and satisfiable(depth + 1)
+        bound = _bound_positions(atom, bindings)
+        for row in source.candidates(atom.predicate, bound):
+            added = bind_row(atom, row, bound)
+            if added is None:
+                continue
+            if satisfiable(depth + 1):
+                for var in added:
+                    del bindings[var]
+                return True
+            for var in added:
+                del bindings[var]
+        return False
+
+    def search(depth: int) -> Iterator[dict[Variable, Term]]:
+        if depth == len(order):
+            yield dict(bindings)
+            return
+        if witness_after is not None and all(v in bindings for v in witness_after):
+            if satisfiable(depth):
+                yield dict(bindings)
+            return
+        literal, source = rows_for(depth)
+        atom = literal.atom
+        if stats is not None:
+            stats.subgoal_attempts += 1
+        if not literal.positive:
+            ground = atom.substitute(bindings)
+            if ground not in db:
+                yield from search(depth + 1)
+            return
+        bound = _bound_positions(atom, bindings)
+        for row in source.candidates(atom.predicate, bound):
+            added = bind_row(atom, row, bound)
+            if added is None:
+                continue
+            yield from search(depth + 1)
+            for var in added:
+                del bindings[var]
+
+    yield from search(0)
+
+
+def fire_rule(
+    db: Database,
+    head: Atom,
+    literals: Sequence[Literal],
+    stats: EvaluationStats | None = None,
+    source_for: Mapping[int, Database] | None = None,
+    order: Sequence[int] | None = None,
+    governor=None,
+) -> set[Atom]:
+    """All head instantiations derivable from *db* through this body.
+
+    Returns the set of (ground) head atoms; the caller decides which are
+    new.  A rule with an empty body yields its (ground) head.  Pass a
+    precomputed *order* (see :func:`plan_order`) to skip per-call
+    planning.
+
+    With a *governor* (a :class:`~repro.resilience.ResourceGovernor`),
+    the firing loop ticks it so a wall-clock deadline or cancellation
+    can interrupt even a single explosive rule; the resulting
+    :class:`~repro.errors.ResourceLimitExceeded` propagates to the
+    engine, which returns the facts committed so far as a PARTIAL
+    outcome.
+    """
+    derived: set[Atom] = set()
+    if not literals:
+        derived.add(head)
+        if stats is not None:
+            stats.rule_firings += 1
+        return derived
+    head_vars = frozenset(head.variables())
+    for bindings in match_body(
+        db,
+        literals,
+        stats=stats,
+        source_for=source_for,
+        witness_after=head_vars,
+        order=order,
+    ):
+        if stats is not None:
+            stats.rule_firings += 1
+        if governor is not None:
+            governor.tick()
+        derived.add(head.substitute(bindings))
+    return derived
 
 
 def run_differential_suite(

@@ -28,6 +28,7 @@ from repro.engine.compile import KernelCache
 from repro.engine.joins import plan_order
 from repro.lang import parse_atom, parse_rule
 from repro.obs.metrics import metrics_registry
+from repro.testing import reference_fixpoint
 from repro.workloads.suites import SUITES
 
 TC = """
@@ -349,8 +350,6 @@ class TestHintedDifferential:
         workload = SUITES[suite]()
         edb = workload.edb(8)
         program = workload.program
-        reference = seminaive_fixpoint(
-            program, edb, use_compiled=False
-        ).database
+        reference = reference_fixpoint(program, edb)
         assert seminaive_fixpoint(program, edb).database == reference
         assert naive_fixpoint(program, edb).database == reference

@@ -39,6 +39,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.resilience.faults import FaultyDatabase
+from repro.testing import reference_fixpoint
 from repro.workloads import programs
 from repro.workloads.suites import SUITES
 
@@ -299,10 +300,10 @@ class TestDeltaVariantPositions:
         workload = SUITES["tc+4atoms/chain"]()
         edb = on_backend(workload.edb(_SIZE), backend)
         compiled = seminaive_fixpoint(workload.program, edb)
-        reference = seminaive_fixpoint(workload.program, edb, use_compiled=False)
+        reference = reference_fixpoint(workload.program, edb)
         naive = evaluate(workload.program, edb, engine="naive")
         assert atom_set(compiled.database) == atom_set(naive.database)
-        assert atom_set(reference.database) == atom_set(naive.database)
+        assert atom_set(reference) == atom_set(naive.database)
 
 
 # ---------------------------------------------------------------------------

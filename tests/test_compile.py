@@ -1,10 +1,10 @@
 """Tests for repro.engine.compile: kernels, delta splitting, differentials.
 
 The load-bearing guarantee is the differential one: for every bench
-workload, the compiled kernel path and the ``match_body`` reference path
-compute identical fixpoints -- including under fault injection and under
-governor PARTIAL cutoffs (where the compiled result must still be a
-sound subset).
+workload, the compiled kernels and the ``match_body`` reference
+(:mod:`repro.testing`) compute identical fixpoints -- including under
+fault injection and under governor PARTIAL cutoffs (where the compiled
+result must still be a sound subset).
 """
 
 from __future__ import annotations
@@ -21,12 +21,15 @@ from repro.engine import (
     naive_fixpoint,
     seminaive_fixpoint,
 )
-from repro.engine.joins import match_body, plan_order
+from repro.engine.compile import cardinality_hint_provider
+from repro.engine.incremental import MaterializedView
+from repro.engine.joins import plan_order
 from repro.engine.seminaive import GoalRun
 from repro.engine.stats import EvaluationStats
 from repro.errors import UnsafeRuleError
 from repro.lang import Atom, Literal, Variable, parse_program, parse_rule
 from repro.lang.programs import Program
+from repro.lang.terms import Constant
 from repro.obs.metrics import metrics_registry
 from repro.resilience import (
     EvaluationSession,
@@ -35,6 +38,7 @@ from repro.resilience import (
     ResourceGovernor,
     RetryPolicy,
 )
+from repro.testing import match_body, reference_fixpoint
 from repro.workloads.suites import SUITES
 
 from .legacy import on_backend
@@ -108,6 +112,38 @@ class TestKernelUnits:
         with pytest.raises(ValueError):
             compile_kernel(Atom("P", (x,)), body, Database(), delta_position=1)
 
+    def test_prebound_variables_are_seeded_per_run(self):
+        db = Database.from_facts({"A": [(1, 2), (2, 3), (1, 4)]})
+        rule = parse_rule("G(x, z) :- A(x, y), A(y, z).")
+        kernel = compile_kernel(rule.head, rule.body, db, bound=(x,))
+        assert kernel.bound == (x,)
+        assert kernel.order == (0, 1)  # A(x, y) is the bound literal
+        assert kernel.run(db, seed=(Constant(1),)) == {Atom.of("G", 1, 3).args}
+        assert kernel.run(db, seed=(Constant(2),)) == set()
+
+    def test_prebound_head_only_checks_for_a_witness(self):
+        # Every head variable pre-bound: the body is one existence check,
+        # and a variable the body never mentions is just a slot.
+        db = Database.from_facts({"B": [(2, i) for i in range(10)]})
+        body = [Literal(Atom("B", (y, z)))]
+        kernel = compile_kernel(Atom("_", ()), body, db, bound=(x, y))
+        assert kernel.witness_depth == 0
+        stats = EvaluationStats()
+        assert kernel.run(db, stats=stats, seed=(Constant(0), Constant(2))) == {()}
+        assert stats.rule_firings == 1
+        assert kernel.run(db, seed=(Constant(0), Constant(3))) == set()
+
+    def test_seed_must_match_the_prebound_variables(self):
+        db = Database.from_facts({"A": [(1, 2)]})
+        body = [Literal(Atom("A", (x, y)))]
+        kernel = compile_kernel(Atom("P", (y,)), body, db, bound=(x,))
+        with pytest.raises(ValueError):
+            kernel.run(db)
+        with pytest.raises(ValueError):
+            kernel.run(db, seed=(Constant(1), Constant(2)))
+        with pytest.raises(ValueError):
+            compile_kernel(Atom("P", (y,)), body, db, bound=(x, x))
+
     def test_kernel_cache_reuses_compiled_variants(self):
         db = Database.from_facts({"A": [(1, 2)]})
         rule = parse_rule("G(x, z) :- A(x, y), A(y, z).")
@@ -169,8 +205,7 @@ class TestDeltaSplitting:
         workload = SUITES["tc+2atoms/chain"]()
         edb = workload.edb(10)
         compiled = seminaive_fixpoint(workload.program, edb)
-        reference = seminaive_fixpoint(workload.program, edb, use_compiled=False)
-        assert compiled.database == reference.database
+        assert compiled.database == reference_fixpoint(workload.program, edb)
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -181,13 +216,13 @@ class TestDifferentialFixpoints:
         workload = SUITES[suite]()
         edb = workload.edb(8)
         program = workload.program
-        reference = naive_fixpoint(program, edb, use_compiled=False).database
+        reference = reference_fixpoint(program, edb)
         assert naive_fixpoint(program, edb).database == reference
         assert seminaive_fixpoint(program, edb).database == reference
-        assert (
-            seminaive_fixpoint(program, edb, use_compiled=False).database
-            == reference
-        )
+        # Kernels are the only production join: no switch selects another.
+        for entry in (naive_fixpoint, seminaive_fixpoint, MaterializedView):
+            with pytest.raises(TypeError, match="use_compiled"):
+                entry(program, edb, use_compiled=False)
 
 
 @pytest.mark.parametrize("suite", ("tc+2atoms/chain", "same-generation"))
@@ -320,7 +355,7 @@ class TestHeadShapes:
             plain = evaluate_stratified(program, Database.from_facts(_SHAPE_FACTS))
             assert evaluate_stratified(program, db).database == plain.database
             return
-        reference = naive_fixpoint(program, db, use_compiled=False).database
+        reference = reference_fixpoint(program, db)
         assert naive_fixpoint(program, db).database == reference
         assert seminaive_fixpoint(program, db).database == reference
 
@@ -503,6 +538,10 @@ def test_cold_evaluate_compiles_no_source():
     this guard in the PR that lands code generation with numbers."""
     warm = SUITES["tc/chain"]()
     seminaive_fixpoint(warm.program, warm.edb(6))
+    # The planner's hint path imports the analysis package and calls
+    # networkx wrappers that compile on first use: warm it too, so the
+    # test sees the same thing alone as after the rest of the suite.
+    cardinality_hint_provider(warm.program, warm.edb(6))()
     events = []
     armed = True
 

@@ -316,20 +316,19 @@ scripts = st.lists(
 
 
 class TestDifferentialProperty:
-    @pytest.mark.parametrize("use_compiled", [True, False])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("program", [paper.TC_LINEAR, paper.TC_NONLINEAR], ids=["linear", "nonlinear"])
     @settings(max_examples=40, deadline=None)
     @given(base=st.lists(edge_atoms, max_size=12), script=scripts)
     def test_view_and_counters_match_the_reference(
-        self, program, backend, use_compiled, base, script
+        self, program, backend, base, script
     ):
         # Random graphs on five nodes have cycles; "G" atoms are given
         # IDB facts (the paper's generalized inputs), protected until
         # deleted themselves.  Deletes of atoms not given are no-ops.
         given_db = on_backend(Database(base), backend)
         expected = reference_maintenance(program, given_db, script)
-        view = MaterializedView(program, given_db, use_compiled=use_compiled)
+        view = MaterializedView(program, given_db)
         db = view.database
         given_atoms = set(base)
         for (kind, batch), (stats, atoms) in zip(script, expected):

@@ -1,12 +1,14 @@
-"""Unit tests for repro.engine.joins."""
+"""Unit tests for join planning (repro.engine.joins) and the reference
+matcher (repro.testing)."""
 
 from __future__ import annotations
 
 from repro.data import Database
-from repro.engine.joins import fire_rule, match_body, plan_order
+from repro.engine.joins import plan_order
 from repro.engine.stats import EvaluationStats
 from repro.lang import Atom, Literal, Variable, parse_rule
 from repro.lang.terms import Constant
+from repro.testing import fire_rule, match_body
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 

@@ -13,13 +13,27 @@ from repro.core.containment import (
     uniformly_contains,
     uniformly_equivalent,
 )
+from repro.core.cq import find_homomorphism
 from repro.core.minimize import minimize_program, scan_redundancy
 from repro.core.tgds import Tgd, satisfies_all
-from repro.engine import naive_fixpoint, seminaive_fixpoint
+from repro.engine import (
+    apply_once,
+    evaluate_with_provenance,
+    naive_fixpoint,
+    seminaive_fixpoint,
+)
 from repro.lang import Atom, Program, Rule, Literal
+from repro.lang.freeze import freeze_rule
 from repro.lang.substitution import Substitution, match_atom, unify_atoms
-from repro.lang.terms import Constant, Variable
-from repro.testing import reference_minimize_program, reference_scan_redundancy
+from repro.lang.terms import Constant, Variable, term_sort_key
+from repro.testing import (
+    fire_rule,
+    match_body,
+    random_database,
+    reference_fixpoint,
+    reference_minimize_program,
+    reference_scan_redundancy,
+)
 from repro.workloads import random_positive_program, wide_rule
 
 # ---------------------------------------------------------------------------
@@ -119,6 +133,40 @@ class TestEngineAgreement:
             naive_fixpoint(program, db).database
             == seminaive_fixpoint(program, db).database
         )
+        # The callers that left the interpreted matcher for kernels.
+        for db in (db, random_database(seed)):
+            assert apply_once(program, db) == {
+                atom
+                for rule in program.rules
+                for atom in fire_rule(db, rule.head, rule.body)
+            }
+            provenance = evaluate_with_provenance(program, db)
+            assert provenance.database == reference_fixpoint(program, db)
+            for justification in provenance.justifications.values():
+                assert all(p in provenance.database for p in justification.premises)
+            for tgd in _KERNEL_TGDS:
+                expected = _reference_violations(tgd, db)
+                got = list(tgd.violations(db))
+                assert set(got) == expected
+                assert got == sorted(got, key=_theta_key)
+                for bindings in match_body(db, [Literal(a) for a in tgd.lhs]):
+                    theta = Substitution(
+                        {v: bindings[v] for v in tgd.universal_variables}
+                    )
+                    assert tgd.exhibits_violation(db, theta) == (theta in expected)
+        for source in program.rules:
+            for target in program.rules:
+                if source.head.predicate == target.head.predicate:
+                    found = find_homomorphism(source, target)
+                    assert (found is not None) == _reference_homomorphism(
+                        source, target
+                    )
+                    if found is not None:
+                        frozen = freeze_rule(target)
+                        assert found.apply_atom(source.head) == frozen.head
+                        assert set(map(found.apply_atom, source.body_atoms())) <= set(
+                            frozen.body
+                        )
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -136,6 +184,46 @@ class TestEngineAgreement:
         out_small = evaluate(program, small).database
         out_big = evaluate(program, big).database
         assert out_small.issubset(out_big)
+
+
+_KERNEL_TGDS = [
+    Tgd.parse(source)
+    for source in (
+        "E0(x, y) -> E1(y, z)",
+        "E0(x, y), E0(y, z) -> E1(x, z)",
+        "E1(x, x) -> E0(x, w) & E1(w, x)",
+        "E0(x, y), E1(y, x) -> E0(y, w) & E0(w, w)",
+    )
+]
+
+
+def _theta_key(theta: Substitution) -> tuple:
+    return tuple(
+        term_sort_key(theta[v]) for v in sorted(theta, key=lambda v: v.name)
+    )
+
+
+def _reference_violations(tgd: Tgd, db: Database) -> set[Substitution]:
+    """Tgd violations by the interpreted matcher."""
+    out = set()
+    rhs = [Literal(a) for a in tgd.rhs]
+    for bindings in match_body(db, [Literal(a) for a in tgd.lhs]):
+        theta = {v: bindings[v] for v in tgd.universal_variables}
+        if next(match_body(db, rhs, initial=theta), None) is None:
+            out.add(Substitution(theta))
+    return out
+
+
+def _reference_homomorphism(source: Rule, target: Rule) -> bool:
+    """Is there a homomorphism from *source* to *target*, by the
+    interpreted matcher?"""
+    frozen = freeze_rule(target)
+    base = match_atom(source.head, frozen.head)
+    if base is None:
+        return False
+    literals = [Literal(a) for a in source.body_atoms()]
+    db = Database(frozen.body)
+    return next(match_body(db, literals, initial=dict(base)), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from repro import Database, evaluate, evaluate_stratified, parse_program
-from repro.engine.joins import match_body
 from repro.engine.stratified import stratify
 from repro.errors import StratificationError
 from repro.lang import Atom
 from repro.resilience import EvaluationStatus, ResourceGovernor
+from repro.testing import match_body
 
 from .legacy import on_backend
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -44,6 +45,14 @@ class TestStructure:
 
     def test_parse_classmethod(self):
         assert Tgd.parse("G(x, z) -> A(x, w)") == paper.EX11_TGD
+
+    def test_compiled_kernels_are_not_part_of_the_value(self):
+        used, fresh = parse_tgd("G(x, z) -> A(x, w)"), parse_tgd("G(x, z) -> A(x, w)")
+        db = Database.from_facts({"G": [(1, 2)], "A": [(3, 4)]})
+        assert len(list(used.violations(db))) == 1
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == used and list(copy.violations(db)) == list(used.violations(db))
 
 
 class TestExample10AsRules:
@@ -177,7 +186,9 @@ class TestApplication:
 
 
 _CHASE_SCRIPT = """
-from repro import Database, chase, parse_tgds
+from repro import Database, chase, parse_rule, parse_tgds
+from repro.core.cq import find_homomorphism
+from repro.core.tgds import first_violation
 from repro.lang.atoms import Atom
 from repro.lang.pretty import format_database
 
@@ -185,13 +196,23 @@ names = "abcdefg"
 db = Database([Atom.of("E", a, b) for a, b in zip(names, names[1:] + names[:1])])
 tgds = parse_tgds("E(x, y) -> F(y, z). F(y, z) -> H(z, w).")
 print(format_database(chase(db, None, list(tgds)).database))
+
+chain = Database([Atom.of("E", i, i + 1) for i in range(1, 8)])
+_, theta = first_violation(chain, list(parse_tgds("E(x, y) -> F(y, z).")))
+print("violation", sorted((v.name, str(t)) for v, t in theta.items()))
+hom = find_homomorphism(
+    parse_rule("Q(x) :- E(x, y), E(y, z)."),
+    parse_rule("Q(a) :- E(a, b), E(b, c), E(a, d), E(d, e), E(b, f), E(a, g), E(g, h)."),
+)
+print("homomorphism", sorted((v.name, str(t)) for v, t in hom.items()))
 """
 
 
 def test_chase_output_does_not_depend_on_hash_order():
     """Null labels and counts are the same whatever order sets iterate in:
     three processes with different string-hash seeds (and term
-    addresses) print byte-identical databases."""
+    addresses) print byte-identical databases.  The first violation and
+    the homomorphism returned are the least ones, in every process."""
     src = str(Path(repro.__file__).resolve().parents[1])
     outputs = set()
     for seed in ("0", "1", "2"):
@@ -204,3 +225,5 @@ def test_chase_output_does_not_depend_on_hash_order():
     assert len(outputs) == 1
     (text,) = outputs
     assert len(set(re.findall(rb"@\d+", text))) == 14
+    assert b"violation [('x', '1'), ('y', '2')]" in text
+    assert b"homomorphism [('x', 'a#'), ('y', 'b#'), ('z', 'c#')]" in text
