@@ -26,7 +26,6 @@ from .fixpoint import (
 from .incremental import MaintenanceStats, MaterializedView
 from .joins import plan_order
 from .magic import Adornment, MagicRewriting, answer_query, magic_transform
-from .naive import naive_fixpoint
 from .provenance import (
     Justification,
     ProofNode,
@@ -35,7 +34,7 @@ from .provenance import (
     evaluate_with_provenance,
     explain,
 )
-from .seminaive import seminaive_fixpoint
+from .seminaive import naive_fixpoint, seminaive_fixpoint
 from .stats import EvaluationStats
 from .stratified import Stratification, evaluate_stratified, stratify
 from .supplementary import answer_query_supplementary, supplementary_magic_transform

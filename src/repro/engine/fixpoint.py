@@ -108,8 +108,7 @@ def _ensure_registry() -> dict[str, EngineSpec]:
         return _ENGINES
     from .incremental import MaterializedView  # noqa: F401  (registered for discovery)
     from .magic import answer_query
-    from .naive import naive_fixpoint
-    from .seminaive import seminaive_fixpoint
+    from .seminaive import naive_fixpoint, seminaive_fixpoint
     from .stratified import evaluate_stratified
     from .supplementary import answer_query_supplementary
     from .topdown import tabled_answer_query

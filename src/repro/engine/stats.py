@@ -56,15 +56,6 @@ class EvaluationStats:
         self._started = None
         metrics_registry().record_evaluation(self, engine=self.engine)
 
-    def merge(self, other: "EvaluationStats") -> None:
-        """Accumulate another run's counters into this one (elapsed too)."""
-        self.iterations += other.iterations
-        self.rule_firings += other.rule_firings
-        self.subgoal_attempts += other.subgoal_attempts
-        self.facts_derived += other.facts_derived
-        self.elapsed += other.elapsed
-        self.duplicates_avoided += other.duplicates_avoided
-
     def to_dict(self) -> dict[str, float | int]:
         """The counters as a flat JSON-ready mapping (profile/``--json`` use)."""
         return {

@@ -63,8 +63,7 @@ from .engine.fixpoint import evaluate
 from .engine.incremental import MaintenanceStats, MaterializedView
 from .engine.joins import plan_order
 from .engine.magic import answer_query
-from .engine.naive import naive_fixpoint
-from .engine.seminaive import seminaive_fixpoint
+from .engine.seminaive import naive_fixpoint, seminaive_fixpoint
 from .engine.stats import EvaluationStats
 from .engine.supplementary import answer_query_supplementary
 from .engine.topdown import tabled_query

@@ -45,6 +45,37 @@ class TestProfile:
         assert "span tree" in out
         assert "seminaive.eval" in out
 
+    def test_stratified_profile_names_every_rule_of_the_program(self, files, capsys):
+        program = """
+        A(x) :- V(x), not B(x).
+        B(x) :- W(x).
+        R(x, y) :- A(x), E(x, y).
+        R(x, z) :- R(x, y), E(y, z).
+        """
+        edb = "".join(f"V({i}). E({i}, {i + 1}).\n" for i in range(10)) + "W(0). W(3).\n"
+        code = main(
+            [
+                "profile", files("p.dl", program), "--edb", files("e.dl", edb),
+                "--engine", "stratified", "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        rules = {r["index"]: r for r in doc["rules"]}
+        # One row per rule, the negated one included, each under its own
+        # text; the recursive R rule does the most work.
+        assert [rules[i]["rule"] for i in sorted(rules)] == [
+            "A(x) :- V(x), not B(x).",
+            "B(x) :- W(x).",
+            "R(x, y) :- A(x), E(x, y).",
+            "R(x, z) :- R(x, y), E(y, z).",
+        ]
+        busiest = max(rules.values(), key=lambda r: r.get("subgoal_attempts", 0))
+        assert busiest["rule"] == "R(x, z) :- R(x, y), E(y, z)."
+        assert sum(r.get("subgoal_attempts", 0) for r in doc["rules"]) == (
+            doc["stats"]["subgoal_attempts"]
+        )
+
     def test_json_output_is_schema_stamped(self, files, capsys):
         code = main(
             ["profile", files("p.dl", TC_REDUNDANT), "--edb", files("e.dl", EDB), "--json"]

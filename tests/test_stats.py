@@ -50,29 +50,6 @@ class TestStopIdempotence:
         assert metrics_registry().counter("evaluation.runs") == 2
 
 
-class TestMerge:
-    def test_merge_sums_all_counters_including_elapsed(self):
-        a = EvaluationStats(
-            iterations=2, rule_firings=3, subgoal_attempts=5, facts_derived=7, elapsed=0.25
-        )
-        b = EvaluationStats(
-            iterations=1, rule_firings=1, subgoal_attempts=2, facts_derived=3, elapsed=0.5
-        )
-        a.merge(b)
-        assert a.iterations == 3
-        assert a.rule_firings == 4
-        assert a.subgoal_attempts == 7
-        assert a.facts_derived == 10
-        assert a.elapsed == pytest.approx(0.75)  # historically dropped
-
-    def test_merge_leaves_other_untouched(self):
-        a = EvaluationStats(elapsed=0.1)
-        b = EvaluationStats(iterations=4, elapsed=0.2)
-        a.merge(b)
-        assert b.iterations == 4
-        assert b.elapsed == 0.2
-
-
 class TestToDict:
     def test_flat_json_ready_mapping(self):
         stats = EvaluationStats(

@@ -177,6 +177,19 @@ NEGATION_PROGRAMS = {
         NoLoop(x, 0) :- Node(x), not E(x, x).
         Twice(x) :- NoLoop(x, 0), not Loop(x), not Mark(x).
     """,
+    # Bodies that open with a negated literal: the first delta variant
+    # is not at position 0, and it alone may fire in the first round.
+    "leading-negation": """
+        Free(x) :- not Mark(x), Node(x).
+        T(x, y) :- E(x, y).
+        T(x, z) :- not Mark(x), T(x, y), E(y, z).
+    """,
+    # A rule with no positive subgoal has no delta variant; it fires
+    # once, like a fact, and what it derives feeds the same stratum.
+    "ground-negation": """
+        P(1) :- not Mark(1).
+        Q(x) :- P(x), Node(x).
+    """,
 }
 
 #: ``columnar``: the EDB is read back from its legacy columnar document.
@@ -240,3 +253,35 @@ def test_governed_partial_is_a_subset_of_the_perfect_model(name, backend, limits
     if limits == {"max_facts": 1}:
         assert len(full) - len(edb) > 1
         assert governed.status is EvaluationStatus.PARTIAL
+
+
+#: A negated rule below a recursive stratum that outgrows ``max_facts``.
+REPORTED = """
+    A(x) :- V(x), not B(x).
+    B(x) :- W(x).
+    R(x, y) :- A(x), E(x, y).
+    R(x, z) :- R(x, y), E(y, z).
+"""
+
+
+def reported_edb() -> Database:
+    db = Database()
+    for node in range(10):
+        db.add_fact("V", node)
+        db.add_fact("E", node, node + 1)
+    for node in range(0, 10, 3):
+        db.add_fact("W", node)
+    return db
+
+
+def test_degradation_report_names_the_stratified_engine_and_program_rule():
+    program = parse_program(REPORTED)
+    governed = evaluate_stratified(
+        program, reported_edb(), governor=ResourceGovernor(max_facts=30)
+    )
+    assert governed.status is EvaluationStatus.PARTIAL
+    report = governed.degradation
+    assert (report.engine, report.stratum, report.limit) == ("stratified", 1, "max_facts")
+    # The fact past the limit comes from the recursive R rule, and the
+    # report indexes the user's program, not a per-stratum sub-program.
+    assert str(program.rules[report.rule_index]) == "R(x, z) :- R(x, y), E(y, z)."

@@ -5,20 +5,24 @@ Terms are hash-consed, so a set of terms or rows iterates in an order
 that follows memory addresses and, for strings, ``PYTHONHASHSEED``.
 Anything printed in set order therefore changes from run to run.  This
 check (a step of the ``test`` CI job, runnable locally as ``python
-tools/check_stable_output.py``) runs ``eval``, ``minimize``,
-``optimize --json`` and ``lint --format json`` over every
-``examples/*.dl``, ``explain`` on two facts with several derivations,
-and ``preserves`` and ``prove`` over the shipped ``.tgds`` files, each
-under ``PYTHONHASHSEED=0``, ``1`` and ``2``, and compares stdout,
-stderr and the exit status byte for byte.
+tools/check_stable_output.py``) runs ``eval`` (under each fixpoint
+engine), ``minimize``, ``optimize --json`` and ``lint --format json``
+over every ``examples/*.dl``, ``explain`` on two facts with several
+derivations, and ``preserves`` and ``prove`` over the shipped
+``.tgds`` files, each under ``PYTHONHASHSEED=0``, ``1`` and ``2``, and
+compares stdout, stderr and the exit status byte for byte.  The
+engines run one round loop, so ``eval --engine naive`` and ``eval
+--engine stratified`` must also print the default engine's stdout
+under every seed.
 
 The EDB for ``eval`` and ``explain`` is written to a temporary
 directory: string and integer facts over every EDB predicate the
 examples use, so both the string-hash and the address orders are
 exercised.
 
-Exit status: 0 when every command is stable, 1 otherwise; each unstable
-command prints with the seeds whose output differs.
+Exit status: 0 when every command is stable and every engine agrees, 1
+otherwise; each unstable command prints with the seeds whose output
+differs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLES = REPO / "examples"
 SEEDS = ("0", "1", "2")
+#: Fixpoint engines besides the default whose ``eval`` output must match it.
+ENGINES = ("naive", "stratified")
 
 #: Facts over every EDB predicate of ``examples/*.dl``.
 NAMES = ["ann", "bob", "cy", "dee", "eve", "fay", "gus"]
@@ -56,6 +62,7 @@ def commands(edb: Path) -> list[list[str]]:
         path = str(program)
         out += [
             ["eval", path, "--edb", str(edb)],
+            *(["eval", path, "--edb", str(edb), "--engine", e] for e in ENGINES),
             ["minimize", path],
             ["optimize", path, "--json"],
             ["lint", path, "--format", "json"],
@@ -87,12 +94,21 @@ def run(argv: list[str], seed: str) -> tuple[int, bytes, bytes]:
 
 def main() -> int:
     unstable = 0
+    default_eval: dict[str, dict[str, bytes]] = {}
     with tempfile.TemporaryDirectory() as folder:
         edb = Path(folder) / "edb.dl"
         edb.write_text(edb_text())
         for argv in commands(edb):
             outputs = {seed: run(argv, seed) for seed in SEEDS}
             label = " ".join(Path(a).name if os.sep in a else a for a in argv)
+            if argv[0] == "eval":
+                stdout = {seed: outputs[seed][1] for seed in SEEDS}
+                if "--engine" not in argv:
+                    default_eval[argv[1]] = stdout
+                elif stdout != default_eval[argv[1]]:
+                    unstable += 1
+                    print(f"DIFFERS  {label}: stdout is not the default engine's")
+                    continue
             if len(set(outputs.values())) == 1:
                 print(f"stable   {label}")
                 continue
