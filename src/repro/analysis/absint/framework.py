@@ -38,6 +38,7 @@ from ...lang.rules import Rule
 from ...lang.terms import Variable
 from ...obs.metrics import metrics_registry
 from ..dependence import DependenceGraph
+from ..graphs import ancestors
 
 V = TypeVar("V")
 
@@ -82,10 +83,7 @@ class ProgramFacts:
 
     def is_recursive_scc(self, scc: frozenset[str]) -> bool:
         """Whether *scc* contains a cycle (size > 1 or a self-loop)."""
-        if len(scc) > 1:
-            return True
-        (node,) = scc
-        return node in self.recursive_predicates
+        return not scc.isdisjoint(self.recursive_predicates)
 
     @cached_property
     def rules_by_head(self) -> dict[str, tuple[tuple[int, Rule], ...]]:
@@ -99,18 +97,10 @@ class ProgramFacts:
         """Predicates from which some goal predicate is reachable.
 
         The reachability set of :mod:`repro.analysis.relevance`, but
-        computed against the shared graph (one traversal per goal, no
-        per-call graph construction).
+        computed against the shared graph, in one traversal from all
+        goals.
         """
-        import networkx as nx
-
-        graph = self.dependence.graph
-        out: set[str] = set()
-        for goal in goals:
-            if goal in graph:
-                out |= nx.ancestors(graph, goal)
-            out.add(goal)
-        return frozenset(out)
+        return frozenset(goals) | ancestors(self.dependence.graph, goals)
 
     def join_components(self, rule: Rule) -> list[set[int]]:
         """Body-literal indexes grouped by shared variables.

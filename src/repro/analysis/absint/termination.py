@@ -53,6 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ...core.tgds import Tgd
 from ...lang.programs import Program
 from ...lang.terms import Variable
+from ..graphs import strongly_connected_components
 
 #: A predicate position ``(predicate, index)``, 1-based as in the
 #: data-exchange literature: ``("A", 1)`` prints as ``A.1``.
@@ -176,12 +177,8 @@ class PositionGraph:
     @cached_property
     def _sccs(self) -> tuple[frozenset[Position], ...]:
         """Strongly connected components, in reverse topological order."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.positions)
-        graph.add_edges_from((e.source, e.target) for e in self.edges)
-        return tuple(frozenset(c) for c in nx.strongly_connected_components(graph))
+        graph = {p: [e.target for e in self._adjacency.get(p, ())] for p in self.positions}
+        return tuple(strongly_connected_components(graph))
 
     @cached_property
     def _scc_of(self) -> dict[Position, int]:
@@ -250,7 +247,8 @@ class PositionGraph:
             if e.special and scc_of[e.source] == scc_of[e.target]
         }
         # SCC condensation edges, then one monotone pass in topological
-        # order (self._sccs is reverse-topological).
+        # order (self._sccs is reverse-topological): every upstream rank,
+        # infinity included, is final before a downstream SCC reads it.
         order = list(range(len(self._sccs)))[::-1]
         scc_rank: dict[int, Optional[int]] = {i: 0 for i in order}
         incoming: dict[int, list[tuple[int, bool]]] = {i: [] for i in order}
@@ -270,12 +268,6 @@ class PositionGraph:
                     break
                 best = max(best, upstream + (1 if special else 0))
             scc_rank[scc] = best
-        # Infinity propagates downstream of an infinite SCC.
-        for scc in order:
-            if scc_rank[scc] is None:
-                for target, pairs in incoming.items():
-                    if any(s == scc for s, _sp in pairs):
-                        scc_rank[target] = None
         return {p: scc_rank[scc_of[p]] for p in self.positions}
 
     @property
@@ -425,8 +417,8 @@ def _joint_acyclicity(
 
     Returns ``(acyclic, depth, cycle)`` where *depth* is the longest
     path in the existential dependency graph (drives the value-bound
-    recurrence) and *cycle* names the offending existential variables
-    when the test fails.
+    recurrence) and, when the test fails, *cycle* names the existential
+    variables of the first cyclic SCC found, in dependency order.
     """
     existentials: list[tuple[int, Variable]] = [
         (i, y)
@@ -456,8 +448,8 @@ def _joint_acyclicity(
     # *frontier* variables (universal, exported to the head) with all
     # body occurrences inside Ω(y).  Non-frontier variables cannot
     # transport the null into new atoms, so they contribute no edge.
-    edges: dict[tuple[int, Variable], set[tuple[int, Variable]]] = {
-        key: set() for key in existentials
+    edges: dict[tuple[int, Variable], list[tuple[int, Variable]]] = {
+        key: [] for key in existentials
     }
     for key in existentials:
         omega = omegas[key]
@@ -471,46 +463,17 @@ def _joint_acyclicity(
                 if any(True for _ in _variable_positions(dep.rhs, x))
             )
             if depends:
-                for z in dep.existential_variables:
-                    edges[key].add((j, z))
-    # Longest path / cycle detection by DFS with colouring.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {key: WHITE for key in existentials}
+                for z in sorted(dep.existential_variables, key=lambda v: v.name):
+                    edges[key].append((j, z))
+    # Sinks first, so each successor's depth is known; a cyclic SCC fails.
     depth: dict[tuple[int, Variable], int] = {}
-    cycle_witness: list[tuple[int, Variable]] = []
-
-    def visit(key: tuple[int, Variable], stack: list) -> Optional[int]:
-        colour[key] = GREY
-        stack.append(key)
-        best = 0
-        for succ in edges[key]:
-            if colour[succ] is GREY:
-                start = stack.index(succ)
-                cycle_witness.extend(stack[start:])
-                return None
-            if colour[succ] is WHITE:
-                sub = visit(succ, stack)
-                if sub is None:
-                    return None
-                best = max(best, sub)
-            else:
-                best = max(best, depth[succ])
-        stack.pop()
-        colour[key] = BLACK
-        depth[key] = best + 1
-        return depth[key]
-
-    overall = 0
-    for key in existentials:
-        if colour[key] is WHITE:
-            result = visit(key, [])
-            if result is None:
-                names = tuple(
-                    f"{deps[i][0]}:{v.name}" for i, v in cycle_witness
-                )
-                return False, 0, names
-            overall = max(overall, result)
-    return True, overall, None
+    for component in strongly_connected_components(edges):
+        key = next(iter(component))
+        if len(component) > 1 or key in edges[key]:
+            cycle = [k for k in existentials if k in component]
+            return False, 0, tuple(f"{deps[i][0]}:{v.name}" for i, v in cycle)
+        depth[key] = 1 + max((depth[succ] for succ in edges[key]), default=0)
+    return True, max(depth.values()), None
 
 
 # -- the certificate ----------------------------------------------------------

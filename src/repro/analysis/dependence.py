@@ -19,45 +19,37 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import networkx as nx
-
 from ..lang.programs import Program
 from ..lang.rules import Rule
+from .graphs import strongly_connected_components, topological_components
 
 
 class DependenceGraph:
     """The paper's dependence graph, with recursion queries.
 
-    Edges are labelled with the polarity of the body occurrence that
-    induced them (``negative=True`` if *any* inducing occurrence is
-    negated), which the stratified extension uses.
+    ``graph`` maps each predicate to its successors, and each edge to
+    the polarity of the body occurrences that induced it (``True`` --
+    negative -- if *any* inducing occurrence is negated), which the
+    stratified extension uses.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        graph = nx.DiGraph()
-        graph.add_nodes_from(program.predicates)
+        graph: dict[str, dict[str, bool]] = {pred: {} for pred in program.predicates}
         for rule in program.rules:
             head = rule.head.predicate
             for literal in rule.body:
-                body_pred = literal.predicate
-                if graph.has_edge(body_pred, head):
-                    if not literal.positive:
-                        graph[body_pred][head]["negative"] = True
-                else:
-                    graph.add_edge(body_pred, head, negative=not literal.positive)
+                successors = graph[literal.predicate]
+                successors[head] = successors.get(head, False) or not literal.positive
         self.graph = graph
 
     @cached_property
     def _cyclic_components(self) -> tuple[frozenset[str], ...]:
         out = []
-        for component in nx.strongly_connected_components(self.graph):
-            if len(component) > 1:
-                out.append(frozenset(component))
-            else:
-                (node,) = component
-                if self.graph.has_edge(node, node):
-                    out.append(frozenset(component))
+        for component in strongly_connected_components(self.graph):
+            node = next(iter(component))
+            if len(component) > 1 or node in self.graph[node]:
+                out.append(component)
         return tuple(out)
 
     @cached_property
@@ -98,11 +90,7 @@ class DependenceGraph:
 
     def condensation_order(self) -> tuple[frozenset[str], ...]:
         """SCCs in a topological order (useful for stratified planning)."""
-        condensed = nx.condensation(self.graph)
-        order = []
-        for node in nx.topological_sort(condensed):
-            order.append(frozenset(condensed.nodes[node]["members"]))
-        return tuple(order)
+        return tuple(topological_components(self.graph))
 
     def has_negative_cycle(self) -> bool:
         """Whether any cycle contains a negative edge (unstratifiable)."""
@@ -116,8 +104,10 @@ class DependenceGraph:
         """
         out: set[str] = set()
         for component in self._cyclic_components:
-            for u, v, data in self.graph.edges(data=True):
-                if data.get("negative") and u in component and v in component:
-                    out.update(component)
-                    break
+            if any(
+                negative and v in component
+                for u in component
+                for v, negative in self.graph[u].items()
+            ):
+                out.update(component)
         return frozenset(out)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..lang.programs import Program
 from ..lang.rules import Rule
+from .graphs import ancestors
 
 
 @dataclass
@@ -39,22 +40,15 @@ def relevant_predicates(program: Program, goal: str) -> frozenset[str]:
     answer -- querying a predicate the program never mentions is legal
     and returns only stored facts.
 
-    A plain walk from the goal back through rule bodies -- the
-    dependence-graph ancestors without building the graph, since
-    uniform-containment tests call this once per test.
+    The dependence-graph ancestors over bare successor lists, not a
+    ``DependenceGraph``: uniform-containment tests call this once
+    per test.
     """
-    bodies: dict[str, list[Rule]] = {}
+    graph: dict[str, list[str]] = {}
     for rule in program.rules:
-        bodies.setdefault(rule.head.predicate, []).append(rule)
-    reachable = {goal}
-    pending = [goal]
-    while pending:
-        for rule in bodies.get(pending.pop(), ()):
-            for literal in rule.body:
-                if literal.predicate not in reachable:
-                    reachable.add(literal.predicate)
-                    pending.append(literal.predicate)
-    return frozenset(reachable)
+        for literal in rule.body:
+            graph.setdefault(literal.predicate, []).append(rule.head.predicate)
+    return frozenset(ancestors(graph, [goal])) | {goal}
 
 
 def restrict_to_goal(program: Program, goal: str) -> RelevanceResult:

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from ..data.database import Database
+from ..engine.compile import KernelCache
 from ..engine.fixpoint import apply_once
 from ..lang.atoms import Atom
 from ..lang.freeze import freeze_atoms
@@ -140,15 +141,17 @@ def _examine_combination(
     extensional_atoms: Sequence[Atom],
     combination: tuple[UnificationChoice, ...],
     budget: ChaseBudget,
+    kernels: KernelCache,
 ) -> CombinationEvidence:
     """Run the interleaved chase-and-check loop for one combination."""
     d = Database(extensional_atoms)
     for choice in combination:
         d.add_all(choice.body_atoms)
+    kernels.bind(d)
     nulls = NullFactory()
     rounds = 0
     while True:
-        pn = apply_once(program, d)
+        pn = apply_once(program, d, kernels=kernels)
         combined = d.copy()
         combined.add_all(pn)
         if not tgd.exhibits_violation(combined, theta):
@@ -201,6 +204,7 @@ def preserves_nonrecursively(
     idb = program.idb_predicates
     augmented_rules = program.with_trivial_rules().rules
     report = PreservationReport(verdict=Verdict.PROVED)
+    kernels = KernelCache()  # shared by every combination: each rule compiles once
 
     for tgd in tgds:
         frozen_lhs, theta_full = freeze_atoms(tgd.lhs, serial=0)
@@ -219,7 +223,7 @@ def preserves_nonrecursively(
         for combination in itertools.product(*per_atom_choices):
             report.combinations_examined += 1
             evidence = _examine_combination(
-                program, tgds, tgd, theta, extensional, combination, budget
+                program, tgds, tgd, theta, extensional, combination, budget, kernels
             )
             report.evidence.append(evidence)
             if evidence.verdict is Verdict.DISPROVED:

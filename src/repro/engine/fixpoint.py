@@ -37,7 +37,7 @@ from ..errors import ResourceLimitExceeded
 from ..lang.atoms import Atom
 from ..lang.programs import Program
 from ..resilience.governor import DegradationReport, EvaluationStatus, ResourceGovernor
-from .compile import compile_kernel
+from .compile import KernelCache
 from .stats import EvaluationStats
 
 #: Engine names are plain strings validated against the registry (the
@@ -189,15 +189,23 @@ def get_engine(name: str) -> EngineSpec:
     return spec
 
 
-def apply_once(program: Program, db: Database, stats: EvaluationStats | None = None) -> set:
+def apply_once(
+    program: Program,
+    db: Database,
+    stats: EvaluationStats | None = None,
+    kernels: KernelCache | None = None,
+) -> set:
     """The paper's ``Pⁿ(d)``: atoms derivable by one non-recursive round.
 
     Every rule is instantiated against the ground atoms of *db* only;
     atoms generated within the round do not feed back into it.  The
     result is a set of atoms and, per the paper's convention, does not
     automatically include ``d``.  Each rule runs as one join kernel; a
-    fact rule yields its head.
+    fact rule yields its head.  A caller applying the same rules round
+    after round passes one *kernels* cache, so each rule compiles once.
     """
+    if kernels is None:
+        kernels = KernelCache(db)
     derived = set()
     for rule in program.rules:
         if rule.is_fact:
@@ -206,7 +214,7 @@ def apply_once(program: Program, db: Database, stats: EvaluationStats | None = N
                 stats.rule_firings += 1
             continue
         predicate = rule.head.predicate
-        rows = compile_kernel(rule.head, rule.body, db).run(db, stats=stats)
+        rows = kernels.kernel(rule).run(db, stats=stats)
         derived.update(Atom(predicate, row) for row in rows)
     return derived
 

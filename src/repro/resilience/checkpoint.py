@@ -224,8 +224,8 @@ class CheckpointManager:
 
     Wire :meth:`on_round` into a governor's ``on_round`` hook and every
     engine that calls ``governor.checkpoint(db, round=...)`` checkpoints
-    for free; the semi-naive engine additionally passes its delta so
-    the snapshot carries a resumable frontier.
+    for free.  A ``seminaive`` snapshot also stores the delta the loop
+    passes, its resumable frontier; other engines' snapshots store none.
     """
 
     def __init__(
@@ -314,7 +314,9 @@ class CheckpointManager:
             engine=self.engine,
             database=db,
             round=round,
-            delta=delta,
+            # Only a semi-naive snapshot resumes from its delta
+            # (resume_state); any other engine's would be dead weight.
+            delta=delta if self.engine == "seminaive" else None,
             governor_state=governor_state,
             every=self.every,
         )

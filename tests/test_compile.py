@@ -533,14 +533,14 @@ def test_contains_and_add_faults_fire_at_identical_counts_on_both_backends(suite
 
 def test_cold_evaluate_compiles_no_source():
     """Kernels are interpreted slot programs, not generated source: a
-    never-seen program costs no ``compile()``/``exec`` (1 476 kernels are
-    built inside ``setup_s`` of the optimize-corpus workload).  Delete
-    this guard in the PR that lands code generation with numbers."""
+    never-seen program costs no ``compile()``/``exec`` (one pass of the
+    optimize-corpus workload builds 494 kernels).  Delete this guard in
+    the PR that lands code generation with numbers."""
     warm = SUITES["tc/chain"]()
     seminaive_fixpoint(warm.program, warm.edb(6))
-    # The planner's hint path imports the analysis package and calls
-    # networkx wrappers that compile on first use: warm it too, so the
-    # test sees the same thing alone as after the rest of the suite.
+    # The planner's hint path imports the analysis package on first
+    # use, and its dataclasses exec generated methods: warm it too, so
+    # the test sees the same thing alone as after the rest of the suite.
     cardinality_hint_provider(warm.program, warm.edb(6))()
     events = []
     armed = True

@@ -69,6 +69,20 @@ class TestClassification:
         assert not cert.properties["weakly_acyclic"]
         assert cert.ja_cycle is None
 
+    def test_joint_acyclicity_depth_is_the_longest_null_chain(self):
+        """Each existential fed by another's null adds a level to the
+        value bound; two independent cycles name the first one's variable."""
+        base = ("P(x) -> E(x, y) & Q(y)", "E(x, y) & Q(x) -> P(x)")
+        chain = ("Q(x) -> R(x, z)", "R(x, z) -> S(z, w)")
+        for extra, depth, bound in ((0, 1, 20), (1, 2, 90), (2, 3, 640)):
+            cert = _classify(*base, *chain[:extra])
+            assert cert.classification == JOINTLY_ACYCLIC
+            assert (cert.bound_depth, cert.value_bound(10)) == (depth, bound)
+        cert = _classify(
+            "A(x) -> B(x, y)", "B(x, y) -> A(y)", "C(x) -> D(x, u)", "D(x, u) -> C(u)"
+        )
+        assert cert.ja_cycle == ("tgd[0]:y",)
+
     def test_sticky_but_not_terminating(self):
         cert = _classify("B(x, y) -> B(y, w)")
         assert cert.classification == STICKY
